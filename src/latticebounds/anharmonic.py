@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from .torus import Couplings, TorusLattice
 from .kernels import velocity
-from .weyl import WeylFunction, support_distance
+from .weyl import WeylFunction, _pair_distances, support_distance
 from .genbounds import power_law_zeta
 
 __all__ = ["PerturbationSpec", "AnharmonicBoundParams", "kappa_V",
@@ -176,10 +176,7 @@ def anharm_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
     norms = f.sup_norm * g.sup_norm
     me = b.mu + b.epsilon
     if form == "theorem":
-        xs = f.support_sites()
-        ys = g.support_sites()
-        pair = sum(F_mu(b.mu, b.nu, lat.distance(x, y))
-                   for x in xs for y in ys)
+        pair = np.sum(F_mu(b.mu, b.nu, _pair_distances(f, g)))
         return float(C * norms * np.exp(me * v * abs(t)) * pair)
     if form == "corollary":
         Ct = C * power_law_zeta(b.nu)

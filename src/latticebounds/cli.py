@@ -350,31 +350,27 @@ def cmd_lightcone(cfg: dict, outdir: str) -> int:
     if not isinstance(thresholds, list) or not thresholds:
         raise ScenarioError("lightcone: thresholds must be a nonempty list")
     rvals = list(range(1, lat.L + 1))
+    idx = [lat.index((r,)) for r in rvals]
     # for delta arguments the commutator norm is 2|sin(Hm1(t,r)/2)|:
     # one kernel evaluation per time covers every distance
-    table = np.empty((len(t_grid), len(rvals)))
-    rows = []
-    for i, t in enumerate(t_grid):
-        hm1 = compute_H(lat, c, -1, float(t))
-        for j, r in enumerate(rvals):
-            table[i, j] = 2.0 * abs(np.sin(hm1.at((r,)) / 2.0))
-            rows.append([float(t), r, float(table[i, j])])
+    table = np.array([2.0 * np.abs(np.sin(
+        compute_H(lat, c, -1, float(t)).values[idx] / 2.0)) for t in t_grid])
+    rows = [[float(t), r, float(v)]
+            for t, row in zip(t_grid, table) for r, v in zip(rvals, row)]
     write_csv(os.path.join(outdir, "lightcone.csv"), ["t", "r", "norm"], rows)
     vb = optimal_velocity(c)
-    frows = []
-    for th in thresholds:
-        front = extract_front(t_grid, rvals, table, float(th),
-                              r_max=lat.L - 2)
-        for r in sorted(front.arrivals):
-            frows.append([float(th), r, front.arrivals[r],
-                          front.fitted_velocity, vb])
+    fronts = [(float(th), extract_front(t_grid, rvals, table, float(th),
+                                        r_max=lat.L - 2))
+              for th in thresholds]
+    frows = [[th, r, front.arrivals[r], front.fitted_velocity, vb]
+             for th, front in fronts for r in sorted(front.arrivals)]
     write_csv(os.path.join(outdir, "front.csv"),
               ["threshold", "r", "arrival_t", "fitted_velocity",
                "velocity_bound"], frows)
+    # r_max caps only the velocity fit; the arrivals cover every r
     series = [{"name": f"arrival theta={th:g}",
-               "x": [extract_front(t_grid, rvals, table, float(th))
-                     .arrivals.get(r, float("nan")) for r in rvals],
-               "y": rvals} for th in thresholds]
+               "x": [front.arrivals.get(r, float("nan")) for r in rvals],
+               "y": rvals} for th, front in fronts]
     write_svg(os.path.join(outdir, "front.svg"), series, "arrival time",
               "distance r", logy=False)
     print(f"mu0 = {mu_star():.12g}, velocity bound = {vb:.12g}")
@@ -625,7 +621,10 @@ def cmd_verify(cfg: dict, outdir: str, seed: int | None) -> int:
     checks.append(("mu0_bracket", 0.5 < mu0 < 1.0, min(mu0 - 0.5, 1.0 - mu0)))
 
     # general-bound constants vs a brute recomputation
-    pts = rng.integers(-4, 5, size=(6, 2))
+    # six distinct points of [-4, 4]^2: the metric needs d > 0 off the
+    # diagonal
+    cells = rng.choice(81, size=6, replace=False)
+    pts = np.stack([cells // 9 - 4, cells % 9 - 4], axis=1)
     G = InteractionGraph(l1_metric(pts), [({0, 1}, 1.0), ({2, 3}, 0.5)])
     F = DecayFunction(lambda r: (1.0 + r) ** -3, 0.2)
     normF, ca = decay_constants(G, F)

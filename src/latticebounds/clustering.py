@@ -20,7 +20,7 @@ import numpy as np
 
 from .torus import Couplings, TorusLattice, dispersion
 from .kernels import _fourier_sum_fft
-from .weyl import WeylFunction, symplectic_form
+from .weyl import WeylFunction, _conv, symplectic_form
 from .anharmonic import AnharmonicBoundParams, PerturbationSpec, \
     anharm_constants
 
@@ -43,14 +43,6 @@ class GroundStateCovariance:
     def gap(self) -> float:
         return 2.0 * self.couplings.omega
 
-    def matrix(self, kind: str) -> np.ndarray:
-        """Dense covariance matrix M[i, j] = cov(site_i - site_j)."""
-        lat = self.lattice
-        vals = {"qq": self.qq, "pp": self.pp}[kind]
-        idx = np.array([[lat.index(lat.wrap(x - y)) for y in lat.sites]
-                        for x in lat.sites])
-        return vals[idx]
-
 
 def ground_covariance(lat: TorusLattice, c: Couplings) -> GroundStateCovariance:
     """Exact finite Fourier sums for the Gaussian ground-state covariances."""
@@ -65,29 +57,48 @@ def ground_covariance(lat: TorusLattice, c: Couplings) -> GroundStateCovariance:
     return GroundStateCovariance(lat, c, qq.real, pp.real)
 
 
+def _form(cov: GroundStateCovariance, a: WeylFunction,
+          b: WeylFunction) -> float:
+    """Symmetric bilinear form Re(a)' QQ Re(b) + Im(a)' PP Im(b).
+
+    QQ and PP are circulant, so each is applied to b as a periodic
+    convolution with its displacement profile.
+    """
+    lat = cov.lattice
+    qb = _conv(lat, cov.qq, b.values.real).real
+    pb = _conv(lat, cov.pp, b.values.imag).real
+    return float(a.values.real @ qb + a.values.imag @ pb)
+
+
 def weyl_expectation(cov: GroundStateCovariance, h: WeylFunction) -> float:
     """<W(h)> = exp(-<B(h)^2>/2) in the Gaussian ground state.
 
     The generator B(h) = sum_x q_x Re h_x + p_x Im h_x has
     <B^2> = Re(h)' QQ Re(h) + Im(h)' PP Im(h); the symmetrized q-p cross
-    covariance vanishes in the ground state.
+    covariance vanishes in the ground state.  Both circulant quadratic
+    forms are evaluated by FFT convolution with the covariance profiles.
     """
     if h.lattice != cov.lattice:
         raise ValueError("lattice mismatch")
-    re, im = h.values.real, h.values.imag
-    b2 = re @ cov.matrix("qq") @ re + im @ cov.matrix("pp") @ im
-    return float(np.exp(-0.5 * b2))
+    return float(np.exp(-0.5 * _form(cov, h, h)))
 
 
 def weyl_correlation(cov: GroundStateCovariance, f: WeylFunction,
                      g: WeylFunction) -> complex:
-    """Truncated correlation <W(f)W(g)> - <W(f)><W(g)>."""
+    """Truncated correlation <W(f)W(g)> - <W(f)><W(g)>.
+
+    With W(f)W(g) = e^{-i sigma/2} W(f+g), sigma = Im<f, g>, and
+    <B(f+g)^2> = <B(f)^2> + <B(g)^2> + 2s for the cross term
+    s = Re(f)' QQ Re(g) + Im(f)' PP Im(g), the correlation is
+    <W(f)><W(g)> expm1(-s - i sigma/2).  This form has no cancellation
+    between two numbers of order one, so far-apart supports keep their
+    relative accuracy.
+    """
     if f.lattice != cov.lattice or g.lattice != cov.lattice:
         raise ValueError("lattice mismatch")
-    fg = WeylFunction(cov.lattice, f.values + g.values)
-    phase = np.exp(-0.5j * symplectic_form(f, g))
-    prod = phase * weyl_expectation(cov, fg)
-    return complex(prod - weyl_expectation(cov, f) * weyl_expectation(cov, g))
+    z = -_form(cov, f, g) - 0.5j * symplectic_form(f, g)
+    return complex(weyl_expectation(cov, f) * weyl_expectation(cov, g)
+                   * np.expm1(z))
 
 
 def xi_theorem(b: AnharmonicBoundParams, gap: float,

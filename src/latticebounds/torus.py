@@ -86,21 +86,23 @@ class TorusLattice:
         x = np.asarray(x, dtype=np.int64)
         return (x + self.L - 1) % self.side - self.L + 1
 
-    def distance(self, x, y) -> int:
-        """Torus metric: sum_j min_eta |x_j - y_j + 2L*eta|."""
+    def distance(self, x, y) -> int | np.ndarray:
+        """Torus metric: sum_j min_eta |x_j - y_j + 2L*eta|.
+
+        x and y are sites or arrays of sites (coordinates on the last axis)
+        that broadcast over their leading axes; a single pair gives an int.
+        """
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         self._check_site(x)
         self._check_site(y)
         d = np.abs(x - y) % self.side
-        return int(np.sum(np.minimum(d, self.side - d)))
+        out = np.sum(np.minimum(d, self.side - d), axis=-1)
+        return int(out) if out.ndim == 0 else out
 
     def distances_from(self, x) -> np.ndarray:
         """Torus distances from x to every site, in enumeration order."""
-        x = np.asarray(x, dtype=np.int64)
-        self._check_site(x)
-        d = np.abs(self.sites - x) % self.side
-        return np.sum(np.minimum(d, self.side - d), axis=1)
+        return self.distance(self.sites, x)
 
     def abs_l1(self) -> np.ndarray:
         """Torus distance |x| from the origin for every site."""

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .torus import Couplings, TorusLattice, dispersion
-from .kernels import KernelField, compute_h, velocity
+from .kernels import compute_h, velocity
 
 __all__ = ["WeylFunction", "HarmonicBoundParams", "evolve",
            "evolve_mode_space", "symplectic_form", "commutator_norm_exact",
@@ -86,25 +86,14 @@ def _conv(lat: TorusLattice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lat.from_grid(np.fft.ifftn(np.fft.fftn(ga) * np.fft.fftn(gb)))
 
 
-def evolve(f: WeylFunction, t: float,
-           kernels: tuple[KernelField, KernelField] | None = None,
-           zero_omega: bool = False,
-           couplings: Couplings | None = None) -> WeylFunction:
-    """Exact harmonic evolution f -> f_t.
+def evolve(f: WeylFunction, t: float, couplings: Couplings,
+           zero_omega: bool = False) -> WeylFunction:
+    """Exact harmonic evolution f -> f_t under the given couplings.
 
-    Either pass precomputed kernels (h1, h2) at time t, or couplings from
-    which they are computed.  The result is supported on the whole lattice.
+    The result is supported on the whole lattice.
     """
     lat = f.lattice
-    if kernels is None:
-        if couplings is None:
-            raise ValueError("need kernels or couplings")
-        kernels = compute_h(lat, couplings, t, zero_omega=zero_omega)
-    h1, h2 = kernels
-    if h1.lattice != lat or h2.lattice != lat:
-        raise ValueError("lattice mismatch between f and kernels")
-    if h1.t != t or h2.t != t:
-        raise ValueError(f"kernels are at time {h1.t}, requested {t}")
+    h1, h2 = compute_h(lat, couplings, t, zero_omega=zero_omega)
     ft = _conv(lat, f.values, np.conj(h1.values)) \
         + _conv(lat, np.conj(f.values), h2.values)
     return WeylFunction(lat, ft, frozenset(range(lat.n_sites)))
@@ -148,11 +137,10 @@ def symplectic_form(f: WeylFunction, g: WeylFunction) -> float:
 
 
 def commutator_norm_exact(f: WeylFunction, g: WeylFunction, t: float,
-                          kernels=None, couplings: Couplings | None = None,
+                          couplings: Couplings,
                           zero_omega: bool = False) -> float:
     """Exact ||[tau_t(W(f)), W(g)]|| = 2 |sin(Im<g, f_t>/2)|, in [0, 2]."""
-    ft = evolve(f, t, kernels=kernels, zero_omega=zero_omega,
-                couplings=couplings)
+    ft = evolve(f, t, couplings, zero_omega=zero_omega)
     sigma = symplectic_form(g, ft)
     return float(2.0 * np.abs(np.sin(sigma / 2.0)))
 
@@ -180,23 +168,15 @@ def geometric_lattice_sum(b: float, nu: int) -> float:
     return float(((1.0 + q) / (1.0 - q)) ** nu)
 
 
-def _pair_sum(lat: TorusLattice, f: WeylFunction, g: WeylFunction,
-              mu: float, v: float, t: float) -> float:
-    xs = f.support_sites()
-    ys = g.support_sites()
-    total = 0.0
-    for x in xs:
-        for y in ys:
-            total += np.exp(-mu * (lat.distance(x, y) - v * abs(t)))
-    return total
+def _pair_distances(f: WeylFunction, g: WeylFunction) -> np.ndarray:
+    """Torus distances d(x, y) over the support pairs, shape (|X|, |Y|)."""
+    lat = _check_same_lattice(f, g)
+    return lat.distance(f.support_sites()[:, None], g.support_sites()[None])
 
 
 def support_distance(f: WeylFunction, g: WeylFunction) -> int:
     """d(X, Y) = min over support pairs of the torus distance."""
-    lat = _check_same_lattice(f, g)
-    xs = f.support_sites()
-    ys = g.support_sites()
-    return min(lat.distance(x, y) for x in xs for y in ys)
+    return int(np.min(_pair_distances(f, g)))
 
 
 def harmonic_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
@@ -217,20 +197,21 @@ def harmonic_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
     v = velocity(c, mu)
     C = 2.0 + cmax * np.exp(mu / 2.0) + 1.0 / cmax
     norms = f.sup_norm * g.sup_norm
+    d = _pair_distances(f, g)
+    pair = np.sum(np.exp(-mu * (d - v * abs(t))))
     if form == "theorem":
-        return float(C * norms * _pair_sum(lat, f, g, mu, v, t))
+        return float(C * norms * pair)
     if form == "small_time":
-        dxy = support_distance(f, g)
+        dxy = int(np.min(d))
         if not dxy > 1.0 + cmax * np.exp(mu / 2.0 + 1.0):
             raise ValueError(
                 "small-time form requires d(X,Y) > 1 + c_max*e^(mu/2 + 1); "
                 f"got d(X,Y) = {dxy}")
-        return float(abs(t) ** (2 * dxy)
-                     * C * norms * _pair_sum(lat, f, g, mu, v, t))
+        return float(abs(t) ** (2 * dxy) * C * norms * pair)
     if form == "corollary":
         if p.a is None:
             raise ValueError("corollary form requires the parameter a")
-        dxy = support_distance(f, g)
+        dxy = int(np.min(d))
         Ct = C * geometric_lattice_sum(mu * (1.0 - p.a), lat.nu)
         size = min(len(f.support), len(g.support))
         return float(Ct * norms * size

@@ -6,6 +6,7 @@ from latticebounds.anharmonic import (AnharmonicBoundParams, F_mu,
                                       PerturbationSpec, anharm_bound_rhs,
                                       anharm_constants, kappa_V,
                                       lattice_power_sum)
+from latticebounds.genbounds import power_law_zeta
 from latticebounds.kernels import velocity
 from latticebounds.torus import Couplings, TorusLattice
 from latticebounds.weyl import WeylFunction
@@ -126,6 +127,34 @@ def test_bound_rhs_forms():
     with pytest.raises(ValueError):
         anharm_bound_rhs(f, WeylFunction.delta(TorusLattice(1, 4), (2,)),
                          0.4, b, p)
+
+
+def test_bound_rhs_against_brute_pair_loop():
+    lat = TorusLattice(2, 4)
+    c = Couplings(0.8, (1.0, 0.5))
+    b = AnharmonicBoundParams(1.2, 0.7, c, 2)
+    p = PerturbationSpec.cosine(0.2, 1.5)
+    C, _, v = anharm_constants(b, p, lattice=lat)
+    me = b.mu + b.epsilon
+    rng = np.random.default_rng(13)
+    for nx, ny in [(1, 1), (4, 3), (6, 8)]:
+        sites = rng.permutation(lat.n_sites)
+        f = WeylFunction.from_sites(
+            lat, [(lat.sites[s], rng.uniform(0.5, 2.0)) for s in sites[:nx]])
+        g = WeylFunction.from_sites(
+            lat, [(lat.sites[s], 1j * rng.uniform(0.5, 2.0))
+                  for s in sites[nx:nx + ny]])
+        dists = [lat.distance(x, y) for x in f.support_sites()
+                 for y in g.support_sites()]
+        norms = f.sup_norm * g.sup_norm
+        for t in (-0.6, 0.0, 0.3):
+            pair = sum(F_mu(b.mu, 2, d) for d in dists)
+            assert anharm_bound_rhs(f, g, t, b, p) == pytest.approx(
+                C * norms * np.exp(me * v * abs(t)) * pair, rel=1e-13)
+            cor = C * power_law_zeta(2) * norms * min(nx, ny) * np.exp(
+                -b.mu * (min(dists) - (1.0 + b.epsilon / b.mu) * v * abs(t)))
+            assert anharm_bound_rhs(f, g, t, b, p, form="corollary") \
+                == pytest.approx(cor, rel=1e-13)
 
 
 def test_bound_rhs_scales_with_sup_norms():

@@ -137,6 +137,12 @@ def test_verify_battery_passes(tmp_path, capsys):
     assert (tmp_path / "verify.csv").exists()
 
 
+def test_verify_seed_with_coinciding_draws(tmp_path):
+    # drawn with replacement, seed 11 gives two equal points for the
+    # decay-constant check
+    assert main(["verify", "--seed", "11", "--out", str(tmp_path)]) == EXIT_OK
+
+
 def test_empty_table_is_refused(tmp_path):
     with pytest.raises(ScenarioError):
         write_csv(str(tmp_path / "x.csv"), ["a"], [])

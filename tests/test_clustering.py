@@ -88,6 +88,60 @@ def test_qq_covariance_against_four_site_ring():
     assert cov.qq[lat.index((1,))] == pytest.approx(fock, abs=1e-6)
 
 
+def dense_covariances(lat, c):
+    """QQ and PP as dense matrices of direct cosine sums over the dual grid."""
+    gam = np.array([np.sqrt(c.omega ** 2 + 4.0 * sum(
+        lam * np.sin(k[j] / 2.0) ** 2 for j, lam in enumerate(c.lam)))
+        for k in lat.dual])
+    n = lat.n_sites
+    qq = np.empty((n, n))
+    pp = np.empty((n, n))
+    for i, x in enumerate(lat.sites):
+        for j, y in enumerate(lat.sites):
+            cos = np.cos(lat.dual @ (x - y))
+            qq[i, j] = np.sum(cos * 0.5 / gam) / n
+            pp[i, j] = np.sum(cos * 0.5 * gam) / n
+    return qq, pp
+
+
+@pytest.mark.parametrize("nu,L", [(1, 8), (2, 3)])
+def test_forms_against_dense_cosine_sums(nu, L):
+    lat = TorusLattice(nu, L)
+    c = Couplings(0.9, (1.0, 0.6)[:nu])
+    cov = ground_covariance(lat, c)
+    qq, pp = dense_covariances(lat, c)
+
+    def expect(h):
+        return np.exp(-0.5 * (h.real @ qq @ h.real + h.imag @ pp @ h.imag))
+
+    rng = np.random.default_rng(nu)
+    for _ in range(4):
+        fv = 0.4 * (rng.standard_normal(lat.n_sites)
+                    + 1j * rng.standard_normal(lat.n_sites))
+        gv = 0.4 * (rng.standard_normal(lat.n_sites)
+                    + 1j * rng.standard_normal(lat.n_sites))
+        f, g = WeylFunction(lat, fv), WeylFunction(lat, gv)
+        assert weyl_expectation(cov, f) == pytest.approx(expect(fv),
+                                                         abs=1e-13)
+        dense = (np.exp(-0.5j * np.imag(np.vdot(fv, gv))) * expect(fv + gv)
+                 - expect(fv) * expect(gv))
+        assert weyl_correlation(cov, f, g) == pytest.approx(dense, abs=1e-13)
+
+
+def test_far_correlations_keep_their_relative_accuracy():
+    # real deltas: corr(d) = E(d_0) E(d_d) expm1(-qq(d)); subtracting
+    # <W(f+g)> - <W(f)><W(g)> loses everything below ~1e-16
+    lat = TorusLattice(1, 32)
+    cov = ground_covariance(lat, Couplings(2.0, (1.0,)))
+    f = WeylFunction.delta(lat, (0,))
+    e0 = weyl_expectation(cov, f)
+    for d in range(1, 33):
+        g = WeylFunction.delta(lat, (d,))
+        want = e0 * weyl_expectation(cov, g) * np.expm1(
+            -cov.qq[lat.index((d,))])
+        assert abs(weyl_correlation(cov, f, g) - want) <= 2e-17
+
+
 def test_correlation_symmetry_and_zero_argument():
     lat = TorusLattice(1, 8)
     c = Couplings(1.0, (1.0,))

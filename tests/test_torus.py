@@ -56,10 +56,28 @@ def test_metric_axioms(L, data):
     assert lat.distance(x, y) <= lat.nu * lat.L
 
 
+def test_distance_broadcasts_over_leading_axes():
+    lat = TorusLattice(2, 3)
+    rng = np.random.default_rng(2)
+    xs = lat.sites[rng.integers(lat.n_sites, size=5)]
+    ys = lat.sites[rng.integers(lat.n_sites, size=7)]
+    d = lat.distance(xs[:, None], ys[None])
+    assert d.shape == (5, 7)
+    assert all(d[i, j] == lat.distance(x, y)
+               for i, x in enumerate(xs) for j, y in enumerate(ys))
+    assert type(lat.distance(xs[0], ys[0])) is int
+    assert np.array_equal(lat.distances_from(xs[0]),
+                          [lat.distance(s, xs[0]) for s in lat.sites])
+
+
 def test_distance_rejects_out_of_range():
     lat = TorusLattice(1, 4)
-    with pytest.raises(ValueError):
-        lat.distance((5,), (0,))
+    # a bad coordinate is caught alone and inside a broadcast array
+    for x in [(5,), [(0,), (5,)], [[(1,)], [(-4,)]]]:
+        with pytest.raises(ValueError):
+            lat.distance(x, (0,))
+        with pytest.raises(ValueError):
+            lat.distance((0,), x)
 
 
 def test_wrap_is_idempotent_and_in_range():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticebounds.kernels import compute_h, velocity
+from latticebounds.kernels import velocity
 from latticebounds.torus import Couplings, TorusLattice
 from latticebounds.weyl import (HarmonicBoundParams, WeylFunction,
                                 commutator_norm_exact, evolve,
@@ -124,13 +124,6 @@ def test_evolution_is_real_linear():
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
-def test_evolve_with_precomputed_kernels_checks_time():
-    f = WeylFunction.delta(LAT, (0,))
-    kernels = compute_h(LAT, C11, 0.5)
-    with pytest.raises(ValueError):
-        evolve(f, 0.7, kernels=kernels)
-
-
 def test_zero_omega_evolution_group_law():
     c = Couplings(0.0, (1.0,))
     rng = np.random.default_rng(7)
@@ -164,21 +157,50 @@ def test_bound_dominates_exact_norm(i, j, t, mu):
     assert lhs <= rhs + 1e-12
 
 
+def random_multisite_pair(lat, rng, nx, ny):
+    """Weyl arguments on disjoint random supports of sizes nx and ny."""
+    sites = rng.permutation(lat.n_sites)
+
+    def field(idx):
+        return WeylFunction.from_sites(
+            lat, [(lat.sites[s], rng.standard_normal()
+                   + 1j * rng.standard_normal()) for s in idx])
+    return field(sites[:nx]), field(sites[nx:nx + ny])
+
+
 def test_bound_dominates_on_multisite_supports():
     rng = np.random.default_rng(8)
     p = HarmonicBoundParams(1.0, C11, a=0.5)
     for _ in range(50):
-        sites = rng.permutation(LAT.n_sites)
-        f = WeylFunction.from_sites(
-            LAT, [(LAT.sites[s], rng.standard_normal()
-                   + 1j * rng.standard_normal()) for s in sites[:3]])
-        g = WeylFunction.from_sites(
-            LAT, [(LAT.sites[s], rng.standard_normal()
-                   + 1j * rng.standard_normal()) for s in sites[3:5]])
+        f, g = random_multisite_pair(LAT, rng, 3, 2)
         t = float(rng.uniform(-2, 2))
         lhs = commutator_norm_exact(f, g, t, couplings=C11)
         assert lhs <= harmonic_bound_rhs(f, g, t, p) + 1e-12
         assert lhs <= harmonic_bound_rhs(f, g, t, p, form="corollary") + 1e-12
+
+
+def test_bound_forms_against_brute_pair_loop():
+    lat = TorusLattice(2, 4)
+    c = Couplings(0.8, (1.0, 0.5))
+    p = HarmonicBoundParams(0.9, c, a=0.6)
+    v = velocity(c, p.mu)
+    C = 2.0 + c.c_max * np.exp(p.mu / 2.0) + 1.0 / c.c_max
+    rng = np.random.default_rng(12)
+    for nx, ny in [(1, 1), (3, 5), (7, 4)]:
+        f, g = random_multisite_pair(lat, rng, nx, ny)
+        dists = [lat.distance(x, y) for x in f.support_sites()
+                 for y in g.support_sites()]
+        norms = f.sup_norm * g.sup_norm
+        for t in (-1.3, 0.0, 0.7):
+            pair = sum(np.exp(-p.mu * (d - v * abs(t))) for d in dists)
+            assert harmonic_bound_rhs(f, g, t, p) == pytest.approx(
+                C * norms * pair, rel=1e-13)
+            ct = C * geometric_lattice_sum(p.mu * (1.0 - p.a), 2)
+            cor = ct * norms * min(nx, ny) * np.exp(
+                -p.mu * (p.a * min(dists) - v * abs(t)))
+            assert harmonic_bound_rhs(f, g, t, p, form="corollary") \
+                == pytest.approx(cor, rel=1e-13)
+        assert support_distance(f, g) == min(dists)
 
 
 def test_small_time_form():
