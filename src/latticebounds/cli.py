@@ -502,7 +502,7 @@ def cmd_focksim(cfg: dict, outdir: str) -> int:
     if gate_cfg is not None:
         _check_keys(gate_cfg, {"dn", "tol"}, ctx + ".gate")
         refined, change, ok = truncation_gate(
-            sys_, f, g, t_grid, dn=int(gate_cfg.get("dn", 4)),
+            sys_, f, g, t_grid, front.norms, dn=int(gate_cfg.get("dn", 4)),
             tol=float(gate_cfg.get("tol", 1e-4)), n_low=n_low)
         if not ok:
             raise ConvergenceError(
@@ -654,10 +654,11 @@ def cmd_verify(cfg: dict, outdir: str, seed: int | None) -> int:
 
     # Gaussian ground state vs Fock ground state
     cov = ground_covariance(lat2, c)
-    _, psi0 = fsim.build_system(2, 30, c).ground_state()
+    sys30 = fsim.build_system(2, 30, c)
+    _, psi0 = sys30.ground_state()
     h = np.zeros(2, complex)
     h[i0] = 0.5 + 0.2j
-    W = fsim.build_system(2, 30, c).weyl_matrix(np.array([h[i0], h[i1]]))
+    W = sys30.weyl_matrix(np.array([h[i0], h[i1]]))
     gexp = weyl_expectation(cov, WeylFunction(lat2, h))
     bexp = float(np.vdot(psi0, W @ psi0).real)
     checks.append(("gaussian_ground_state", abs(gexp - bexp) < 1e-6,

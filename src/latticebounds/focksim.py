@@ -2,10 +2,13 @@
 oscillators in a truncated number-state basis.
 
 Systems of N <= 4 sites (open chain or ring) are represented on the tensor
-product of per-site truncated oscillator bases.  Small systems use dense
-eigendecomposition throughout; for the largest truncations the propagator
-is applied matrix-free (Krylov expm_multiply), so no dense matrix beyond
-the observables themselves is ever formed.
+product of per-site truncated oscillator bases.  H is assembled once, as
+a sparse Kronecker sum of the on-site and bond terms, and every path uses
+it: small systems diagonalise it densely; above DENSE_EIG_DIM the
+low-lying eigenvectors come from ARPACK and the propagator is applied by
+Krylov expm_multiply, so no dense matrix beyond the observables is formed.
+H is real for every even potential under every tag, so the dense
+eigendecomposition and ARPACK (symmetric Lanczos) run in real arithmetic.
 
 Commutator norms are measured on the span of the lowest-lying energy
 eigenvectors.  The truncated propagator is only faithful on states well
@@ -21,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, expm_multiply
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .torus import Couplings
 from .anharmonic import PerturbationSpec
@@ -54,6 +58,13 @@ def _matrix_function(h: np.ndarray, fn) -> np.ndarray:
     return (v * fn(w)) @ v.conj().T
 
 
+def _mul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v, without a complex copy of a real a."""
+    if np.isrealobj(a) and np.iscomplexobj(v):
+        return a @ v.real + 1j * (a @ v.imag)
+    return a @ v
+
+
 class FockSystem:
     """N-site oscillator system in a truncated per-site number basis."""
 
@@ -83,9 +94,9 @@ class FockSystem:
         self.omega0 = omega0
         self.q1, self.p1 = _local_ops(trunc, omega0)
         self._assemble_local_terms()
+        self._h = None
         self._eig = None
-        self._dense_h = None
-        self._low_basis: dict[int, np.ndarray] = {}
+        self._low: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- assembly -----------------------------------------------------
 
@@ -106,17 +117,41 @@ class FockSystem:
             onsite = onsite + _matrix_function(self.q1, pert.potential)
         if pert.potential is not None and pert.tag == "site_p":
             onsite = onsite + _matrix_function(self.p1, pert.potential)
-        self._onsite = onsite
         # lam (q_i - q_j)^2 on a pair, plus an optional bond potential
         eye = np.eye(n)
         dq = np.kron(self.q1, eye) - np.kron(eye, self.q1)
         bond = lam * (dq @ dq)
         if pert.potential is not None and pert.tag == "bond":
             bond = bond + _matrix_function(dq, pert.potential)
-        self._bond = bond
         if not np.allclose(onsite, onsite.conj().T) \
                 or not np.allclose(bond, bond.conj().T):
             raise AssertionError("non-Hermitian assembly")
+        # V(p) of an even V is real up to eigh round-off (~1e-17)
+        if all(np.max(np.abs(m.imag)) <= 1e-12 * np.max(np.abs(m))
+               for m in (onsite, bond)):
+            onsite, bond = onsite.real, bond.real
+        self._onsite = onsite
+        self._bond = bond
+
+    def _embed(self, op: np.ndarray, sites: tuple[int, ...]) -> sp.csr_array:
+        """op, acting on `sites` in the order given, on the full space."""
+        n, N = self.trunc, self.n_sites
+        order = list(sites) + [x for x in range(N) if x not in sites]
+        # full-space index of each index of the space reordered as `order`
+        full = np.arange(self.dim).reshape((n,) * N).transpose(order).ravel()
+        m = sp.kron(op, sp.identity(n ** (N - len(sites))), format="coo")
+        return sp.csr_array((m.data, (full[m.row], full[m.col])),
+                            shape=(self.dim, self.dim))
+
+    def hamiltonian(self) -> sp.csr_array:
+        """The Hamiltonian as a cached sparse (CSR) Kronecker sum of the
+        on-site and bond terms; float64 when those terms are real."""
+        if self._h is None:
+            self._h = sum([self._embed(self._onsite, (x,))
+                           for x in range(self.n_sites)]
+                          + [self._embed(self._bond, b)
+                             for b in self.bonds()])
+        return self._h
 
     # -- tensor application (vectors or column blocks) -------------------
 
@@ -131,44 +166,8 @@ class FockSystem:
         t = np.moveaxis(t.reshape(moved), 0, site)
         return t.reshape((self.dim,) + batch)
 
-    def _apply_two_site(self, op2: np.ndarray, i: int, j: int,
-                        v: np.ndarray) -> np.ndarray:
-        n, N = self.trunc, self.n_sites
-        batch = v.shape[1:]
-        t = v.reshape((n,) * N + batch)
-        t = np.moveaxis(t, (i, j), (0, 1))
-        moved = t.shape
-        t = op2 @ t.reshape(n * n, -1)
-        t = np.moveaxis(t.reshape((n, n) + moved[2:]), (0, 1), (i, j))
-        return t.reshape((self.dim,) + batch)
-
     def apply_h(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        out = np.zeros(v.shape, dtype=complex)
-        for x in range(self.n_sites):
-            out += self._apply_one_site(self._onsite, x, v)
-        for i, j in self.bonds():
-            out += self._apply_two_site(self._bond, i, j, v)
-        return out
-
-    def hamiltonian(self) -> np.ndarray:
-        """Dense Hamiltonian (only assembled on demand)."""
-        if self._dense_h is None:
-            self._dense_h = self.apply_h(np.eye(self.dim))
-        return self._dense_h
-
-    def h_operator(self) -> LinearOperator:
-        return LinearOperator((self.dim, self.dim), matvec=self.apply_h,
-                              rmatvec=self.apply_h, matmat=self.apply_h,
-                              dtype=complex)
-
-    def h_trace(self) -> float:
-        n = self.trunc
-        tr = self.n_sites * np.trace(self._onsite).real * n ** (self.n_sites - 1)
-        if self.n_sites >= 2:
-            tr += len(self.bonds()) * np.trace(self._bond).real \
-                * n ** (self.n_sites - 2)
-        return float(tr)
+        return self.hamiltonian() @ v
 
     # -- spectra and states --------------------------------------------
 
@@ -179,39 +178,39 @@ class FockSystem:
                 raise ValueError(
                     f"dense eigendecomposition disabled at dim {self.dim}; "
                     "use the matrix-free paths")
-            h = self.hamiltonian()
-            self._eig = np.linalg.eigh(h)
+            self._eig = np.linalg.eigh(self.hamiltonian().toarray())
         return self._eig
 
     def eigenvalues(self, k: int | None = None) -> np.ndarray:
-        if self.dim <= DENSE_EIG_DIM:
-            w = self.eigensystem()[0]
-            return w if k is None else w[:k]
         if k is None:
-            raise ValueError("full spectrum needs the dense path")
-        vals = eigsh(self.h_operator(), k=k, which="SA",
-                     return_eigenvectors=False)
-        return np.sort(vals)
+            return self.eigensystem()[0]
+        return self.low_energy_basis(k)[0]
 
-    def low_energy_basis(self, k: int) -> np.ndarray:
-        """Orthonormal columns spanning the k lowest energy eigenvectors."""
+    def low_energy_basis(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k lowest energies, ascending, and orthonormal eigenvector
+        columns for them (cached per k).  Above DENSE_EIG_DIM they come
+        from ARPACK's symmetric Lanczos driver when H is real; its start
+        vector is seeded, so repeated runs give the same basis."""
         k = min(k, self.dim if self.dim <= DENSE_EIG_DIM else self.dim - 2)
-        if k not in self._low_basis:
+        if k not in self._low:
             if self.dim <= DENSE_EIG_DIM:
-                _, v = self.eigensystem()
-                basis = v[:, :k]
+                w, v = self.eigensystem()
+                w, v = w[:k], v[:, :k]
             else:
-                w, v = eigsh(self.h_operator(), k=k, which="SA",
+                # not an all-ones start: on a ring that vector lies in the
+                # translation-invariant sector, and Lanczos started there
+                # misses the k = +-1 levels
+                v0 = np.random.default_rng(0).standard_normal(self.dim)
+                w, v = eigsh(self.hamiltonian(), k=k, which="SA", v0=v0,
                              maxiter=50 * self.dim)
-                basis = v[:, np.argsort(w)]
-            self._low_basis[k] = np.ascontiguousarray(basis)
-        return self._low_basis[k]
+                order = np.argsort(w)
+                # eigs (complex H) leaves degenerate levels non-orthogonal
+                w, v = w[order], np.linalg.qr(v[:, order])[0]
+            self._low[k] = (w, np.ascontiguousarray(v))
+        return self._low[k]
 
     def ground_state(self) -> tuple[float, np.ndarray]:
-        if self.dim <= DENSE_EIG_DIM:
-            w, v = self.eigensystem()
-            return float(w[0]), v[:, 0]
-        w, v = eigsh(self.h_operator(), k=1, which="SA")
+        w, v = self.low_energy_basis(1)
         return float(w[0]), v[:, 0]
 
     # -- Weyl operators -------------------------------------------------
@@ -245,24 +244,17 @@ class FockSystem:
     # -- dynamics --------------------------------------------------------
 
     def propagate(self, v: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t H) v for a vector or column block."""
+        """exp(-i t H) v for a vector or column block, through the cached
+        eigendecomposition or, above DENSE_EIG_DIM, by expm_multiply on the
+        sparse H (which gives it the exact trace and 1-norm)."""
         if self.dim <= DENSE_EIG_DIM:
             w, vecs = self.eigensystem()
-            coef = vecs.conj().T @ v
-            phase = np.exp(-1j * t * w)
-            return vecs @ (phase[:, None] * coef if coef.ndim == 2
-                           else phase * coef)
+            # conj() of a real array is the array itself, not a copy
+            coef = _mul(vecs.conj().T, v)
+            return _mul(vecs, (np.exp(-1j * t * w) * coef.T).T)
         if t == 0.0:
             return v.astype(complex)
-        return expm_multiply(-1j * t * self.h_operator(), v.astype(complex),
-                             traceA=-1j * t * self.h_trace())
-
-    def heisenberg_apply(self, f_factors, t: float,
-                         v: np.ndarray) -> np.ndarray:
-        """tau_t(W(f)) v = e^{itH} W(f) e^{-itH} v."""
-        v = self.propagate(v, t)
-        v = self.apply_weyl(f_factors, v)
-        return self.propagate(v, -t)
+        return expm_multiply(-1j * t * self.hamiltonian(), v.astype(complex))
 
     def commutator_norm(self, f: np.ndarray, g: np.ndarray, t: float,
                         n_low: int = 20) -> float:
@@ -270,10 +262,14 @@ class FockSystem:
         energy eigenvectors (the converged sector of the truncation)."""
         ff = self.weyl_local_factors(np.asarray(f, dtype=complex))
         gf = self.weyl_local_factors(np.asarray(g, dtype=complex))
-        basis = self.low_energy_basis(n_low)
-        a = self.heisenberg_apply(ff, t, self.apply_weyl(gf, basis))
-        b = self.apply_weyl(gf, self.heisenberg_apply(ff, t, basis))
-        return float(np.linalg.norm(a - b, 2))
+        energies, basis = self.low_energy_basis(n_low)
+        # tau_t(W_f) W_g B and W_g tau_t(W_f) B, with e^{-itH} B =
+        # B diag(e^{-itE}) and the two e^{itH} blocks propagated as one
+        x = self.propagate(self.apply_weyl(gf, basis), t)
+        y = basis * np.exp(-1j * t * energies)
+        z = self.propagate(self.apply_weyl(ff, np.hstack([x, y])), -t)
+        a, b = np.hsplit(z, 2)
+        return float(np.linalg.norm(a - self.apply_weyl(gf, b), 2))
 
 
 def build_system(n_sites: int, trunc: int, couplings: Couplings,
@@ -327,16 +323,18 @@ def commutator_front(sys: FockSystem, f: np.ndarray, g: np.ndarray,
 
 
 def truncation_gate(sys: FockSystem, f: np.ndarray, g: np.ndarray,
-                    tgrid, dn: int = 4, tol: float = 1e-4,
+                    tgrid, norms, dn: int = 4, tol: float = 1e-4,
                     n_low: int = 20) -> tuple[np.ndarray, float, bool]:
     """Convergence gate: recompute the commutator norms with the per-site
-    dimension raised by dn and report (refined norms, max change, pass)."""
+    dimension raised by dn, compare them with `norms` (those of sys on
+    tgrid, from commutator_front); report (refined, max change, pass)."""
+    tgrid = np.asarray(tgrid, dtype=float)
+    norms = np.asarray(norms, dtype=float)
+    if norms.shape != tgrid.shape:
+        raise ValueError("norms must give one value per time")
     bigger = FockSystem(sys.n_sites, sys.trunc + dn, sys.couplings,
                         sys.geometry, sys.perturbation)
-    tgrid = np.asarray(tgrid, dtype=float)
-    small = np.array([sys.commutator_norm(f, g, t, n_low=n_low)
-                      for t in tgrid])
     big = np.array([bigger.commutator_norm(f, g, t, n_low=n_low)
                     for t in tgrid])
-    change = float(np.max(np.abs(small - big))) if len(tgrid) else 0.0
+    change = float(np.max(np.abs(norms - big))) if len(tgrid) else 0.0
     return big, change, change < tol

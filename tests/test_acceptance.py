@@ -19,8 +19,8 @@ from latticebounds.anharmonic import (AnharmonicBoundParams,
 from latticebounds.cli import main as cli_main
 from latticebounds.clustering import (clustering_fit, ground_covariance,
                                       weyl_expectation)
-from latticebounds.focksim import build_system, ring_distance, \
-    truncation_gate
+from latticebounds.focksim import build_system, commutator_front, \
+    ring_distance, truncation_gate
 from latticebounds.genbounds import (DecayFunction, InteractionGraph,
                                      decay_constants, interaction_norm,
                                      l1_metric, phi_boundary,
@@ -266,7 +266,8 @@ def test_07_anharmonic_bound():
         pert = PerturbationSpec.gaussian(alpha)
         Cb, _, v = anharm_constants(b, pert, z_limit=True)
         sys_ = build_system(3, 16, c, perturbation=pert)
-        norms, change, ok = truncation_gate(sys_, f, g, times, dn=4,
+        small = commutator_front(sys_, f, g, times, n_low=4).norms
+        norms, change, ok = truncation_gate(sys_, f, g, times, small, dn=4,
                                             tol=1e-4, n_low=4)
         gate_change = max(gate_change, change)
         if not ok:

@@ -129,6 +129,26 @@ def test_focksim_scenario_writes_tables(tmp_path):
     assert (out / "focksim_fit.csv").exists()
 
 
+def test_matrix_free_focksim_is_reproducible(tmp_path):
+    # dim 13^3 = 2197 is above DENSE_EIG_DIM: ARPACK basis and Krylov
+    # propagation, run twice in one process
+    cfg = scenario(tmp_path, "f.json", {
+        "schema_version": 1, "model": "focksim",
+        "n_sites": 3, "trunc": 13,
+        "couplings": {"omega": 1.0, "lambda": [0.62]},
+        "perturbation": {"type": "gaussian", "alpha": 0.15, "tag": "site"},
+        "f": [[0.45, 0.05], [0.0, 0.0], [0.0, 0.0]],
+        "g": [[0.0, 0.0], [0.5, -0.04], [0.0, 0.0]],
+        "times": [0.05, 0.1], "n_low": 4,
+    })
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["focksim", "--config", cfg, "--out", str(out)]) \
+            == EXIT_OK
+    for name in ("focksim.csv", "focksim_fit.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_verify_battery_passes(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

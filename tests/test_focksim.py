@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latticebounds import focksim
 from latticebounds.anharmonic import PerturbationSpec
 from latticebounds.focksim import (FockSystem, build_system,
                                    commutator_front, evolve_observable,
@@ -37,17 +38,19 @@ def test_chain_spectrum_matches_dense_stiffness_modes():
 def test_zero_perturbation_leaves_hamiltonian_unchanged():
     plain = build_system(2, 8, C11)
     pert = build_system(2, 8, C11, perturbation=PerturbationSpec.zero())
-    assert np.array_equal(plain.hamiltonian(), pert.hamiltonian())
+    assert np.array_equal(plain.hamiltonian().toarray(),
+                          pert.hamiltonian().toarray())
     gauss0 = build_system(2, 8, C11,
                           perturbation=PerturbationSpec.gaussian(0.0))
-    assert np.allclose(plain.hamiltonian(), gauss0.hamiltonian(), atol=1e-14)
+    assert np.allclose(plain.hamiltonian().toarray(),
+                       gauss0.hamiltonian().toarray(), atol=1e-14)
 
 
 def test_perturbed_assemblies_are_hermitian():
     for tag in ("site", "site_p", "bond"):
         sys = build_system(2, 8, C11,
                            perturbation=PerturbationSpec.gaussian(0.4, tag))
-        h = sys.hamiltonian()
+        h = sys.hamiltonian().toarray()
         assert np.allclose(h, h.conj().T, atol=1e-12)
 
 
@@ -59,14 +62,71 @@ def test_ccr_residual_on_bulk_states():
     assert np.max(np.abs(bulk - 1j * np.eye(28))) < 1e-10
 
 
+def _spectral(h, fn):
+    w, v = np.linalg.eigh(h)
+    return (v * fn(w)) @ v.conj().T
+
+
+def _kron_hamiltonian(sys):
+    """Dense H from np.kron: every site's q and p embedded in the full
+    space, the on-site and bond terms formed there."""
+    n, N = sys.trunc, sys.n_sites
+
+    def at(op, x):
+        return np.kron(np.kron(np.eye(n ** x), op), np.eye(n ** (N - x - 1)))
+
+    pert = sys.perturbation
+    c = sys.couplings
+    h = np.zeros((sys.dim, sys.dim), complex)
+    for x in range(N):
+        q, p = at(sys.q1, x), at(sys.p1, x)
+        h += p @ p + c.omega ** 2 * (q @ q)
+        if pert.tag == "site":
+            h += _spectral(q, pert.potential)
+        if pert.tag == "site_p":
+            h += _spectral(p, pert.potential)
+    for i, j in sys.bonds():
+        dq = at(sys.q1, i) - at(sys.q1, j)
+        h += c.lam[0] * (dq @ dq)
+        if pert.tag == "bond":
+            h += _spectral(dq, pert.potential)
+    return h
+
+
 def test_hamiltonian_matches_matrix_free_application():
-    sys = build_system(2, 6, C11,
-                       perturbation=PerturbationSpec.gaussian(0.3))
-    h = sys.hamiltonian()
+    # the sparse H and apply_h against the np.kron assembly; the 3-ring
+    # carries the wrap bond (2, 0)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-    assert np.allclose(sys.apply_h(v), h @ v, atol=1e-12)
-    assert sys.h_trace() == pytest.approx(np.trace(h).real, rel=1e-12)
+    for geometry in ("ring", "chain"):
+        for tag in ("site", "site_p", "bond"):
+            sys = build_system(
+                3, 5, Couplings(1.0, (0.7,)), geometry=geometry,
+                perturbation=PerturbationSpec.gaussian(0.3, tag))
+            ref = _kron_hamiltonian(sys)
+            assert np.max(np.abs(sys.hamiltonian().toarray() - ref)) < 1e-12
+            v = rng.standard_normal((sys.dim, 2)) @ np.array([1.0, 1j])
+            assert np.allclose(sys.apply_h(v), ref @ v, atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["site", "site_p", "bond"])
+def test_even_potentials_give_a_real_hamiltonian(tag):
+    for pert in (PerturbationSpec.gaussian(0.3, tag),
+                 PerturbationSpec.cosine(0.2, 1.5, tag)):
+        sys = build_system(3, 6, C11, perturbation=pert)
+        assert sys.hamiltonian().dtype == np.float64
+
+
+ODD_P = PerturbationSpec(atoms=((1.0, 0.15), (-1.0, 0.15)),
+                         potential=lambda p: 0.3 * np.sin(p),
+                         tag="site_p", name="sine")
+
+
+def test_odd_momentum_potential_keeps_a_complex_hermitian_hamiltonian():
+    sys = build_system(3, 6, C11, perturbation=ODD_P)
+    h = sys.hamiltonian().toarray()
+    assert np.iscomplexobj(h) and np.max(np.abs(h.imag)) > 1e-3
+    assert np.allclose(h, h.conj().T, atol=1e-12)
+    assert np.max(np.abs(h - _kron_hamiltonian(sys))) < 1e-12
 
 
 def test_weyl_matrix_is_unitary_and_factorizes():
@@ -141,18 +201,49 @@ def test_truncation_gate_passes_when_converged():
     sys = build_system(2, 20, C11)
     f = np.array([1.0, 0.0])
     g = np.array([0.0, 1.0])
-    refined, change, ok = truncation_gate(sys, f, g, [0.1, 0.3], dn=4,
-                                          tol=1e-4, n_low=4)
+    norms = commutator_front(sys, f, g, [0.1, 0.3], n_low=4).norms
+    refined, change, ok = truncation_gate(sys, f, g, [0.1, 0.3], norms,
+                                          dn=4, tol=1e-4, n_low=4)
     assert ok and change < 1e-4
     assert refined.shape == (2,)
 
 
 def test_truncation_gate_fails_for_tiny_bases():
     sys = build_system(2, 3, C11)
-    _, change, ok = truncation_gate(sys, np.array([1.0, 0.0]),
-                                    np.array([0.0, 1.0]), [0.5], dn=4,
+    f = np.array([1.0, 0.0])
+    g = np.array([0.0, 1.0])
+    norms = commutator_front(sys, f, g, [0.5], n_low=2).norms
+    _, change, ok = truncation_gate(sys, f, g, [0.5], norms, dn=4,
                                     tol=1e-6, n_low=2)
     assert not ok and change > 1e-6
+
+
+RING3 = Couplings(1.0, (0.6,))
+F3 = np.array([0.45 + 0.05j, 0.0, 0.0])
+G3 = np.array([0.0, 0.5 - 0.04j, 0.0])
+
+
+@pytest.mark.parametrize("pert", [PerturbationSpec.gaussian(0.2), ODD_P],
+                         ids=["real", "complex"])
+def test_matrix_free_basis_is_orthonormal(monkeypatch, pert):
+    # levels 2 and 3 of a symmetric ring are degenerate (the k = +-1 pair)
+    sys = build_system(3, 8, RING3, perturbation=pert)
+    monkeypatch.setattr(focksim, "DENSE_EIG_DIM", sys.dim - 1)
+    w, b = sys.low_energy_basis(4)
+    assert np.max(np.abs(b.conj().T @ b - np.eye(4))) < 1e-12
+    assert np.max(np.abs(sys.hamiltonian() @ b - b * w)) < 1e-10
+
+
+@pytest.mark.parametrize("tag", ["site", "site_p", "bond"])
+def test_matrix_free_norms_match_the_dense_path(monkeypatch, tag):
+    pert = PerturbationSpec.gaussian(0.2, tag)
+    dense = build_system(3, 8, RING3, perturbation=pert)
+    ref = [dense.commutator_norm(F3, G3, t, n_low=4) for t in (0.05, 0.1)]
+    monkeypatch.setattr(focksim, "DENSE_EIG_DIM", dense.dim - 1)
+    free = build_system(3, 8, RING3, perturbation=pert)
+    got = [free.commutator_norm(F3, G3, t, n_low=4) for t in (0.05, 0.1)]
+    assert free._eig is None  # the dense path never ran
+    assert np.allclose(got, ref, rtol=1e-9, atol=0)
 
 
 def test_constructor_validation():
