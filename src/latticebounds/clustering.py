@@ -52,7 +52,9 @@ def ground_covariance(lat: TorusLattice, c: Couplings) -> GroundStateCovariance:
     gam = np.atleast_1d(dispersion(c, lat.dual))
     qq = _fourier_sum_fft(lat, 0.5 / gam)
     pp = _fourier_sum_fft(lat, 0.5 * gam)
-    if np.max(np.abs(qq.imag)) > 1e-12 or np.max(np.abs(pp.imag)) > 1e-12:
+    # relative to the sums, which scale with gamma
+    if any(np.max(np.abs(s.imag)) > 1e-12 * np.max(np.abs(s))
+           for s in (qq, pp)):
         raise AssertionError("covariances must be real (gamma is even)")
     return GroundStateCovariance(lat, c, qq.real, pp.real)
 

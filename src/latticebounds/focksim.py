@@ -123,8 +123,9 @@ class FockSystem:
         bond = lam * (dq @ dq)
         if pert.potential is not None and pert.tag == "bond":
             bond = bond + _matrix_function(dq, pert.potential)
-        if not np.allclose(onsite, onsite.conj().T) \
-                or not np.allclose(bond, bond.conj().T):
+        # relative, so that the check holds at every energy scale
+        if any(np.max(np.abs(m - m.conj().T)) > 1e-10 * np.max(np.abs(m))
+               for m in (onsite, bond)):
             raise AssertionError("non-Hermitian assembly")
         # V(p) of an even V is real up to eigh round-off (~1e-17)
         if all(np.max(np.abs(m.imag)) <= 1e-12 * np.max(np.abs(m))
@@ -191,6 +192,8 @@ class FockSystem:
         columns for them (cached per k).  Above DENSE_EIG_DIM they come
         from ARPACK's symmetric Lanczos driver when H is real; its start
         vector is seeded, so repeated runs give the same basis."""
+        if k < 1:
+            raise ValueError("the low-energy basis needs k >= 1")
         k = min(k, self.dim if self.dim <= DENSE_EIG_DIM else self.dim - 2)
         if k not in self._low:
             if self.dim <= DENSE_EIG_DIM:

@@ -37,6 +37,14 @@ class DecayFunction:
             raise ValueError(f"F({r}) = {v} is not positive")
         return float(np.exp(-self.a * r) * v)
 
+    def table(self, d: np.ndarray) -> np.ndarray:
+        """F_a over an array of distances, with the same positivity check."""
+        v = np.broadcast_to(self.base(d), np.shape(d))
+        if np.any(v <= 0):
+            r = np.asarray(d)[v <= 0].flat[0]
+            raise ValueError(f"F({r}) = {self.base(r)} is not positive")
+        return np.exp(-self.a * d) * v
+
     def with_a(self, a: float) -> "DecayFunction":
         return DecayFunction(self.base, a)
 
@@ -93,7 +101,7 @@ class InteractionGraph:
 def decay_constants(G: InteractionGraph, F: DecayFunction) -> tuple[float, float]:
     """(||F_a||, C_a): the uniform-integrability norm and the convolution
     constant, both by exhaustive summation over the finite site set."""
-    fa = np.vectorize(F.f)(G.d)
+    fa = F.table(G.d)
     norm = float(np.max(np.sum(fa, axis=1)))
     # C_a = sup_{x,y} sum_z F_a(d(x,z)) F_a(d(z,y)) / F_a(d(x,y))
     conv = fa @ fa
@@ -104,13 +112,15 @@ def decay_constants(G: InteractionGraph, F: DecayFunction) -> tuple[float, float
 def interaction_norm(G: InteractionGraph, F: DecayFunction) -> float:
     """||Phi||_a = max over site pairs of sum_{Z containing both} ||Phi(Z)||
     divided by F_a of their distance."""
-    best = 0.0
-    for x in range(G.n):
-        for y in range(G.n):
-            s = sum(norm for Z, norm in G.terms if x in Z and y in Z)
-            if s > 0:
-                best = max(best, s / F.f(G.d[x, y]))
-    return best
+    # pair-weight table S[x, y] = sum_{Z containing x and y} ||Phi(Z)||
+    S = np.zeros((G.n, G.n))
+    for Z, norm in G.terms:
+        idx = np.array(sorted(Z))
+        S[np.ix_(idx, idx)] += norm
+    mask = S > 0
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(S[mask] / F.table(G.d[mask])))
 
 
 def phi_boundary(G: InteractionGraph, X) -> frozenset[int]:
@@ -149,8 +159,9 @@ def power_law_zeta(nu: int, rmax: int = 2000) -> float:
     """
     from scipy.special import zeta as hurwitz
 
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
+    # the tail fit below needs its nu nodes at r >= nu
+    if not 1 <= nu <= (rmax + 1) // 2:
+        raise ValueError(f"nu must lie in 1..{(rmax + 1) // 2}")
     # c_nu(r) = #{x in Z^nu : |x|_1 = r}; each 1-d factor contributes one
     # point at offset 0 and two at every offset >= 1
     counts = np.zeros(rmax + 1)
@@ -182,6 +193,10 @@ def theorem_phi_bound(G: InteractionGraph, F: DecayFunction, X, Y,
     """
     X = frozenset(int(i) for i in X)
     Y = frozenset(int(i) for i in Y)
+    for name, S in (("X", X), ("Y", Y)):
+        if not S or min(S) < 0 or max(S) >= G.n:
+            raise ValueError(f"{name} must be a nonempty subset of the sites "
+                             f"0..{G.n - 1}")
     dxy = G.set_distance(X, Y)
     if form == "lrexp":
         if nu is None:

@@ -30,6 +30,10 @@ class Couplings:
             raise ValueError("all bond couplings must be >= 0")
         if self.omega == 0 and all(l == 0 for l in self.lam):
             raise ValueError("couplings must not all vanish")
+        with np.errstate(over="ignore"):
+            c2 = np.float64(self.omega) ** 2 + 4.0 * sum(self.lam)
+        if not np.isfinite(c2):
+            raise ValueError("couplings too large: c_max overflows")
 
     @property
     def nu(self) -> int:

@@ -1,6 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import pathlib
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                                ScenarioError, main, write_csv)
@@ -166,3 +174,135 @@ def test_verify_seed_with_coinciding_draws(tmp_path):
 def test_empty_table_is_refused(tmp_path):
     with pytest.raises(ScenarioError):
         write_csv(str(tmp_path / "x.csv"), ["a"], [])
+
+
+# ------------------------------------------------ the exit-code contract
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+REFS = {p.name[:-len("_ref.json")]: json.loads(p.read_text())
+        for p in sorted(SCENARIOS.glob("*_ref.json"))}
+
+
+def run_cli(argv):
+    """(rc, stderr lines) of an in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+def mutated(model, path, value):
+    cfg = copy.deepcopy(REFS[model])
+    obj = cfg
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return cfg
+
+
+INF, NAN = float("inf"), float("nan")
+MALFORMED = [
+    # tracebacks before the typed reader
+    ("kernels", ("times",), [0, INF]),
+    ("kernels", ("mu",), "abc"),
+    ("genbound", ("normA",), "x"),
+    ("focksim", ("gate",), {"dn": "x"}),
+    ("focksim", ("f", 0), [1.0]),
+    ("genbound", ("X",), [99]),
+    ("lightcone", ("thresholds",), [5.0]),
+    ("lightcone", ("thresholds",), ["x"]),
+    # ran to exit 0 on coerced or meaningless values
+    ("kernels", ("lattice", "nu"), True),
+    ("kernels", ("lattice", "L"), 2.7),
+    ("focksim", ("n_sites",), 2.5),
+    ("kernels", ("m",), [0.0]),
+    ("anharm", ("z_limit",), "no"),
+    ("focksim", ("n_low",), 0),
+    ("genbound", ("X",), [-1]),
+    # exit 1 before as well
+    ("kernels", ("times",), [0.5, NAN]),
+    ("kernels", ("couplings", "lambda"), ["x"]),
+    ("kernels", ("couplings", "omega"), None),
+    ("genbound", ("terms",), 5),
+]
+
+
+@pytest.mark.parametrize("model,path,value", MALFORMED,
+                         ids=[f"{m}-{'.'.join(map(str, p))}={v!r}"
+                              for m, p, v in MALFORMED])
+def test_malformed_config_exits_1_with_one_line(tmp_path, model, path,
+                                                 value):
+    cfg = scenario(tmp_path, "bad.json", mutated(model, path, value))
+    rc, err = run_cli([model, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_seed_is_for_verify_only(tmp_path):
+    cfg = scenario(tmp_path, "k.json", KERNELS)
+    assert run_cli(["kernels", "--config", cfg, "--seed", "3",
+                    "--out", str(tmp_path)])[0] == EXIT_VALIDATION
+    seeded = scenario(tmp_path, "v.json", {"seed": 11})
+    assert run_cli(["verify", "--config", seeded,
+                    "--out", str(tmp_path)])[0] == EXIT_VALIDATION
+    assert run_cli(["kernels", "--config",
+                    scenario(tmp_path, "s.json", dict(KERNELS, seed=3)),
+                    "--out", str(tmp_path)])[0] == EXIT_VALIDATION
+
+
+def test_lattice_above_the_site_budget_is_refused_at_once(tmp_path):
+    cfg = scenario(tmp_path, "big.json",
+                   dict(KERNELS, lattice={"nu": 3, "L": 1000000},
+                        couplings={"omega": 1.0, "lambda": [1.0] * 3}))
+    t0 = time.perf_counter()
+    rc, err = run_cli(["kernels", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION and "budget" in err[0]
+    assert time.perf_counter() - t0 < 0.5
+
+
+MENU = [None, True, "abc", -1, 0, 2.7, NAN, INF, 1e300, [], {}, 10 ** 7]
+
+
+def _paths(obj, prefix=()):
+    """(path, is_leaf, in_object) for every node below obj."""
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        path = prefix + (key,)
+        yield path, not isinstance(val, (dict, list)), isinstance(obj, dict)
+        yield from _paths(val, path)
+
+
+@st.composite
+def mutations(draw):
+    """A reference scenario with one leaf set from MENU or one key
+    deleted."""
+    model = draw(st.sampled_from(sorted(REFS)))
+    cfg = copy.deepcopy(REFS[model])
+    nodes = list(_paths(cfg))
+    if draw(st.booleans()):
+        path = draw(st.sampled_from([p for p, leaf, _ in nodes if leaf]))
+        return model, mutated(model, path, draw(st.sampled_from(MENU)))
+    path = draw(st.sampled_from([p for p, _, in_obj in nodes if in_obj]))
+    obj = cfg
+    for key in path[:-1]:
+        obj = obj[key]
+    del obj[path[-1]]
+    return model, cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(mutations())
+def test_mutated_scenarios_keep_the_exit_code_contract(case):
+    model, cfg = case
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc, err = run_cli([model, "--config", path, "--out", out])
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+    assert not any("Traceback" in line for line in err)
+    if rc != EXIT_OK:
+        assert sum(line.startswith(("error:", "numerical failure:"))
+                   for line in err) == 1, err

@@ -198,3 +198,9 @@ def test_clustering_fit_needs_one_dimension():
     cov = ground_covariance(TorusLattice(2, 3), Couplings(1.0, (1.0, 1.0)))
     with pytest.raises(ValueError):
         clustering_fit(cov, mu=1.0, epsilon=1.0)
+
+
+def test_reality_check_is_relative_to_the_covariances():
+    # pp ~ gamma / 2 ~ 1e15: its FFT round-off is far above 1e-12
+    cov = ground_covariance(TorusLattice(1, 8), Couplings(1.0, (1e30,)))
+    assert np.all(np.isfinite(cov.pp))

@@ -263,3 +263,17 @@ def test_ring_distance():
     assert ring_distance(4, 0, 3) == 1
     assert ring_distance(4, 0, 2) == 2
     assert ring_distance(3, 1, 1) == 0
+
+
+def test_low_energy_basis_needs_one_vector():
+    sys = build_system(2, 4, C11)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            sys.low_energy_basis(k)
+
+
+def test_hermiticity_check_holds_at_every_scale():
+    # the absolute allclose check failed on round-off at this scale
+    sys = build_system(2, 6, C11,
+                       perturbation=PerturbationSpec.gaussian(1e300))
+    assert sys.dim == 36

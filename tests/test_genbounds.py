@@ -197,3 +197,35 @@ def test_decay_function_validation():
     F = DecayFunction(lambda r: -1.0)
     with pytest.raises(ValueError):
         F.f(1.0)
+
+
+def test_bound_sets_must_be_nonempty_site_subsets():
+    G = InteractionGraph(l1_metric([(0,), (1,), (2,)]),
+                         [({0, 1}, 1.0), ({1, 2}, 1.0)])
+    F = power_law(2.0).with_a(0.5)
+    # -1 used to wrap to the last site, 99 to raise IndexError
+    for bad in (set(), {-1}, {3}, {99}):
+        for form in ("theorem", "corollary", "lrexp"):
+            with pytest.raises(ValueError, match="subset"):
+                theorem_phi_bound(G, F, bad, {2}, 1.0, 1.0, 0.5, form=form,
+                                  nu=1)
+            with pytest.raises(ValueError, match="subset"):
+                theorem_phi_bound(G, F, {0}, bad, 1.0, 1.0, 0.5, form=form,
+                                  nu=1)
+
+
+def test_decay_table_keeps_the_positivity_check():
+    d = l1_metric([(0,), (1,), (3,)])
+    F = power_law(2.0).with_a(0.3)
+    assert np.array_equal(F.table(d), np.vectorize(F.f)(d))
+    with pytest.raises(ValueError, match="not positive"):
+        DecayFunction(lambda r: 2.0 - r).table(d)
+    with pytest.raises(ValueError, match="not positive"):
+        DecayFunction(lambda r: -1.0).table(d)
+
+
+def test_power_law_zeta_needs_its_tail_nodes():
+    with pytest.raises(ValueError):
+        power_law_zeta(1001)
+    with pytest.raises(ValueError):
+        power_law_zeta(10 ** 7)

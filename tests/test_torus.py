@@ -137,3 +137,10 @@ def test_dispersion_gapless_at_zero_when_omega_vanishes():
     c = Couplings(0.0, (1.0,))
     assert dispersion(c, np.array([0.0])) == 0.0
     assert dispersion(c, np.array([0.1])) > 0.0
+
+
+def test_couplings_whose_c_max_overflows_are_rejected():
+    for c in ((1e300, (1.0,)), (1.0, (1e308, 1e308))):
+        with pytest.raises(ValueError, match="overflows"):
+            Couplings(*c)
+    assert np.isfinite(Couplings(1e150, (1e300,)).c_max)

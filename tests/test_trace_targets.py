@@ -4,11 +4,12 @@ these tests resolve every traced name and install the tracer once."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
 
-from latticebounds import focksim
+from latticebounds import cli, focksim
 from latticebounds.torus import Couplings
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -57,3 +58,26 @@ def test_tracer_records_every_fock_layer_and_uninstalls(monkeypatch):
     fock = {f"{m}.{p}" for m, p in spans.TARGETS if m == "focksim"}
     assert fock <= recorded, sorted(fock - recorded)
     assert tracer.counters["focksim.FockSystem.apply_h.cols"] == 1
+
+
+def test_tracer_sees_the_cli_dispatch(tmp_path):
+    # the tracer swaps module globals and module-level dict values only, so
+    # a handler reached any other way would drop out of a traced run
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "model": "kernels",
+        "lattice": {"nu": 1, "L": 4},
+        "couplings": {"omega": 1.0, "lambda": [1.0]},
+        "times": [0.5], "m": [0]}))
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["kernels", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    recorded = {s[0] for s in tracer.spans}
+    want = {"cli.load_scenario", "cli.cmd_kernels", "cli.write_csv",
+            "cli.write_svg"}
+    assert want <= recorded, sorted(want - recorded)
