@@ -10,7 +10,8 @@ have at most MAX_SITES sites.  Outputs are CSV tables (12 significant
 digits) and static SVG plots.
 
 Only `main` maps failures to exit codes, each with one stderr line: 1
-(`error:`) for ScenarioError, ValueError and ZeroDivisionError; 2
+(`error:`) for a usage error in the arguments, ScenarioError, ValueError,
+ZeroDivisionError and OSError (an unusable --out); 2
 (`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK, the
 kappa quadrature) and numpy.linalg.LinAlgError.  Numerical imports wait
 until --threads has set the BLAS thread count.
@@ -255,8 +256,8 @@ def write_svg(path: str, series: list[dict], xlabel: str, ylabel: str,
     if not series:
         raise ScenarioError(f"refusing to write empty plot to {path}")
     W, H, ml, mr, mt, mb = 800, 500, 70, 160, 30, 50
-    xs_all = [x for s in series for x in s["x"]]
-    # a non-finite value (an overflowed bound) is left out of the range
+    # non-finite points (an overflowed bound, an unreached r) are not drawn
+    xs_all = [x for s in series for x in s["x"] if math.isfinite(x)] or [0.0]
     ys_all = [max(abs(y), floor) for s in series for y in s["y"]
               if math.isfinite(y)] or [floor]
     x0, x1 = min(xs_all), max(xs_all)
@@ -292,7 +293,8 @@ def write_svg(path: str, series: list[dict], xlabel: str, ylabel: str,
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
-                       for x, y in zip(s["x"], s["y"]))
+                       for x, y in zip(s["x"], s["y"])
+                       if math.isfinite(x) and math.isfinite(y))
         dash = ' stroke-dasharray="6,4"' if "envelope" in s["name"] else ""
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"{dash}/>')
@@ -312,27 +314,23 @@ def cmd_kernels(cfg: dict, outdir: str) -> int:
     c = _build_couplings(cfg["couplings"], lat.nu)
     times = cfg["times"]
     env = None if cfg["mu"] is None else EnvelopeParams(cfg["mu"], c)
-    dist = lat.distances_from(np.zeros(lat.nu, dtype=int))
-    rmax = int(np.max(dist))
+    dist = lat.abs_l1()
+    rvals = list(range(int(np.max(dist)) + 1))
     rows = []
     series = []
     for m in cfg["m"]:
         for t in times:
-            field = compute_H(lat, c, m, t)
-            prof = [float(np.max(np.abs(field.values[dist == r])))
-                    for r in range(rmax + 1)]
-            for r, v in enumerate(prof):
-                row = [m, t, r, v]
-                if env is not None:
-                    row.append(envelope(env, m, t, r))
-                rows.append(row)
-            series.append({"name": f"|H^({m})| t={t:g}",
-                           "x": list(range(rmax + 1)), "y": prof})
-        if env is not None:
+            prof = np.zeros(len(rvals))
+            np.maximum.at(prof, dist, np.abs(compute_H(lat, c, m, t).values))
+            cols = [rvals, prof.tolist()]
+            if env is not None:
+                cols.append(envelope(env, m, t, rvals).tolist())
+            rows += [[m, t, *row] for row in zip(*cols)]
+            series.append({"name": f"|H^({m})| t={t:g}", "x": rvals,
+                           "y": cols[1]})
+        if env is not None:  # the envelope at the last time
             series.append({"name": f"envelope m={m} t={times[-1]:g}",
-                           "x": list(range(rmax + 1)),
-                           "y": [envelope(env, m, times[-1], r)
-                                 for r in range(rmax + 1)]})
+                           "x": rvals, "y": cols[2]})
     header = ["m", "t", "r", "max_abs_value"]
     if env is not None:
         header.append("envelope")
@@ -642,6 +640,10 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
 
 # ---------------------------------------------------------------- main
 
+def _usage_error(message: str):
+    raise ScenarioError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="latticebounds",
@@ -653,7 +655,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed of the random draws of verify")
     parser.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args(argv)
+    parser.error = _usage_error  # exit 1 with one line, not argparse's 2
+    try:
+        args = parser.parse_args(argv)
+    except ScenarioError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -678,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, RuntimeError, LinAlgError) as e:
         print(f"numerical failure: {args.command}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ScenarioError, ValueError, ZeroDivisionError) as e:
+    except (ScenarioError, ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {args.command}: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .torus import Couplings, TorusLattice, dispersion
-from .kernels import _fourier_sum_fft
 from .weyl import WeylFunction, _conv, symplectic_form
 from .anharmonic import AnharmonicBoundParams, PerturbationSpec, \
     anharm_constants
@@ -50,8 +49,8 @@ def ground_covariance(lat: TorusLattice, c: Couplings) -> GroundStateCovariance:
         raise ZeroDivisionError(
             "ground-state covariance diverges at the zero mode for omega = 0")
     gam = np.atleast_1d(dispersion(c, lat.dual))
-    qq = _fourier_sum_fft(lat, 0.5 / gam)
-    pp = _fourier_sum_fft(lat, 0.5 * gam)
+    qq = lat.ifft(0.5 / gam)
+    pp = lat.ifft(0.5 * gam)
     # relative to the sums, which scale with gamma
     if any(np.max(np.abs(s.imag)) > 1e-12 * np.max(np.abs(s))
            for s in (qq, pp)):

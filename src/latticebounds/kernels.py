@@ -10,12 +10,14 @@ with N the number of sites, together with the evolution kernels
 
     h1 = H0 + (i/2)(H1 + Hm1),      h2 = (i/2)(H1 - Hm1)
 
-through which the Weyl argument evolves.  For omega = 0 the zero mode is
-removed from the sums and replaced by the explicit free-particle terms
-(1 - i t)/N and i t/N.
+through which the Weyl argument evolves.  gamma is even in k, so h1 and h2
+are the inverse transforms of the mode multipliers
 
-Two evaluation paths are provided: a direct summation oracle and an
-FFT-based fast path that reproduces the same finite sums exactly.
+    cos 2gt - (i/2)(g sin 2gt + s),      -(i/2)(g sin 2gt - s)
+
+with g = gamma(k) and s = sin(2gt)/g = 2t at g = 0: the omega = 0 zero mode
+is the free particle (1 - it, it), with no special case.  A direct-summation
+oracle checks the FFT sums.
 """
 
 from __future__ import annotations
@@ -64,27 +66,15 @@ class EnvelopeParams:
 
 
 def _weights(lat: TorusLattice, c: Couplings, m: int, t: float) -> np.ndarray:
-    """gamma(k)^m * exp(-2i gamma(k) t) over the dual grid, zero mode masked
-    out when it would be singular (omega = 0, m = -1 handled by callers)."""
-    gam = np.atleast_1d(dispersion(c, lat.dual))
-    if m == -1:
-        if np.any(gam == 0.0):
-            raise ZeroDivisionError(
-                "singular mode: gamma(k) = 0 at k = 0 (omega = 0 with m = -1)")
-        fac = 1.0 / gam
-    elif m == 1:
-        fac = gam
-    elif m == 0:
-        fac = np.ones_like(gam)
-    else:
+    """gamma(k)^m * exp(-2i gamma(k) t) over the dual grid; a zero mode
+    (omega = 0) with m = -1 raises ZeroDivisionError."""
+    if m not in _M_TO_KIND:
         raise ValueError("m must be one of -1, 0, 1")
-    return fac * np.exp(-2j * gam * t)
-
-
-def _fourier_sum_fft(lat: TorusLattice, w: np.ndarray) -> np.ndarray:
-    """(1/N) sum_k w(k) exp(i k.x) for all x, via the FFT grid."""
-    grid = lat.to_grid(w.astype(complex))
-    return lat.from_grid(np.fft.ifftn(grid))
+    gam = np.atleast_1d(dispersion(c, lat.dual))
+    if m == -1 and np.any(gam == 0.0):
+        raise ZeroDivisionError(
+            "singular mode: gamma(k) = 0 at k = 0 (omega = 0 with m = -1)")
+    return gam ** m * np.exp(-2j * gam * t)
 
 
 def _fourier_sum_direct(lat: TorusLattice, w: np.ndarray,
@@ -102,7 +92,7 @@ def _fourier_sum_direct(lat: TorusLattice, w: np.ndarray,
 
 def compute_H(lat: TorusLattice, c: Couplings, m: int, t: float) -> KernelField:
     """Real-valued base kernel H^(m) at time t (fast FFT path)."""
-    s = _fourier_sum_fft(lat, _weights(lat, c, m, t))
+    s = lat.ifft(_weights(lat, c, m, t))
     vals = s.real if m == 0 else s.imag
     return KernelField(lat, c, float(t), _M_TO_KIND[m], vals)
 
@@ -111,45 +101,41 @@ def compute_H_direct(lat: TorusLattice, c: Couplings, m: int, t: float,
                      site_index: int | None = None):
     """Direct-summation oracle for H^(m); optionally a single site probe."""
     s = _fourier_sum_direct(lat, _weights(lat, c, m, t), site_index)
-    if site_index is not None:
-        return float(s.real if m == 0 else s.imag)
     vals = s.real if m == 0 else s.imag
+    if site_index is not None:
+        return float(vals)
     return KernelField(lat, c, float(t), _M_TO_KIND[m], vals)
+
+
+def _evolution_multipliers(lat: TorusLattice, c: Couplings, t: float,
+                           zero_omega: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Mode multipliers (h1^(k), h2^(k)) of the evolution kernels at time t.
+
+    zero_omega must be set exactly when omega = 0, where the k = 0 mode is
+    the free particle; it changes no arithmetic.
+    """
+    if c.omega == 0 and not zero_omega:
+        raise ZeroDivisionError(
+            "singular mode: k = 0 requires zero_omega=True when omega = 0")
+    if c.omega > 0 and zero_omega:
+        raise ValueError("zero_omega=True requires omega = 0")
+    gam = np.atleast_1d(dispersion(c, lat.dual))
+    gs = gam * np.sin(2.0 * gam * t)
+    s = 2.0 * t * np.sinc(2.0 * gam * t / np.pi)  # sin(2 gamma t) / gamma
+    return np.cos(2.0 * gam * t) - 0.5j * (gs + s), -0.5j * (gs - s)
 
 
 def compute_h(lat: TorusLattice, c: Couplings, t: float,
               zero_omega: bool = False) -> tuple[KernelField, KernelField]:
     """Evolution kernel pair (h1, h2) at time t.
 
-    With zero_omega the k = 0 mode is excluded from the Fourier sums and the
-    explicit zero-mode terms (1 - i t)/N and i t/N are added instead; this is
-    required (and only valid) for omega = 0.
+    zero_omega must be set exactly when omega = 0 (ZeroDivisionError if it
+    is missing there, ValueError if it is set for omega > 0).
     """
-    if not zero_omega and c.omega == 0:
-        raise ZeroDivisionError(
-            "singular mode: k = 0 requires zero_omega=True when omega = 0")
-    gam = np.atleast_1d(dispersion(c, lat.dual))
-    phase = np.exp(-2j * gam * t)
-    if zero_omega:
-        mask = np.all(lat.sites == 0, axis=1)  # the k = 0 dual point
-        phase = np.where(mask, 0.0, phase)
-        inv_gam = np.divide(1.0, gam, out=np.zeros_like(gam), where=~mask)
-    else:
-        inv_gam = 1.0 / gam
-    s0 = _fourier_sum_fft(lat, phase)
-    s1 = _fourier_sum_fft(lat, gam * phase)
-    sm1 = _fourier_sum_fft(lat, inv_gam * phase)
-    h1 = s0.real + 0.5j * (s1.imag + sm1.imag)
-    h2 = 0.5j * (s1.imag - sm1.imag)
-    if zero_omega:
-        n = lat.n_sites
-        h1 = h1 + (1.0 - 1j * t) / n
-        h2 = h2 + 1j * t / n
-        kinds = ("h01", "h02")
-    else:
-        kinds = ("h1", "h2")
-    return (KernelField(lat, c, float(t), kinds[0], h1),
-            KernelField(lat, c, float(t), kinds[1], h2))
+    w1, w2 = _evolution_multipliers(lat, c, t, zero_omega)
+    k1, k2 = ("h01", "h02") if zero_omega else ("h1", "h2")
+    return (KernelField(lat, c, float(t), k1, lat.ifft(w1)),
+            KernelField(lat, c, float(t), k2, lat.ifft(w2)))
 
 
 def velocity(c: Couplings, mu: float) -> float:

@@ -3,7 +3,9 @@
 The lattice is the cube (-L, L]^nu of integer points with periodic boundary
 conditions; its dual momentum grid is {x*pi/L : x in lattice}, contained in
 (-pi, pi]^nu.  Every other module indexes fields through the single site
-enumeration defined here.
+enumeration defined here, and reaches the lattice Fourier transform only
+through `TorusLattice.fft`/`ifft`, which map site-ordered fields to
+dual-ordered coefficients and back.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ class TorusLattice:
     """Finite torus (-L, L]^nu with |sites| = (2L)^nu.
 
     Sites are enumerated row-major over coordinates -L+1, ..., L per axis.
-    The dual grid is index-aligned: dual[i] = sites[i] * pi / L.
+    The dual grid is index-aligned: dual[i] = sites[i] * pi / L.  The FFT
+    grid holds site x at x mod 2L, so the enumeration is that grid rolled
+    by L - 1 per axis; the flat permutation between the two is fixed here.
     """
 
     def __init__(self, nu: int, L: int):
@@ -64,6 +68,11 @@ class TorusLattice:
         self.dual = self.sites * (np.pi / self.L)
         self.sites.flags.writeable = False
         self.dual.flags.writeable = False
+        self._shape = (self.side,) * self.nu
+        # flat FFT-grid index of each site, and the site at each grid point
+        self._grid_pos = np.ravel_multi_index(tuple((self.sites % self.side).T),
+                                              self._shape)
+        self._grid_site = np.argsort(self._grid_pos)
 
     @property
     def n_sites(self) -> int:
@@ -118,27 +127,24 @@ class TorusLattice:
         Uses the convention that the boundary coordinate L maps to itself
         (exact index arithmetic, no floating point).
         """
-        neg = self.wrap(-self.sites)
-        return self._indices_of(neg)
-
-    def _indices_of(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.int64)
-        idx = np.zeros(len(pts), dtype=np.int64)
-        for j in range(self.nu):
-            idx = idx * self.side + (pts[:, j] + self.L - 1)
-        return idx
+        pos = self.wrap(-self.sites) + self.L - 1  # row-major positions
+        return np.ravel_multi_index(tuple(pos.T), self._shape)
 
     def to_grid(self, values: np.ndarray) -> np.ndarray:
         """Reshape a flat site-indexed array onto the FFT grid (x mod 2L)."""
-        grid = np.empty((self.side,) * self.nu, dtype=values.dtype)
-        mods = tuple(self.sites[:, j] % self.side for j in range(self.nu))
-        grid[mods] = values
-        return grid
+        return values[self._grid_site].reshape(self._shape)
 
     def from_grid(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of to_grid."""
-        mods = tuple(self.sites[:, j] % self.side for j in range(self.nu))
-        return grid[mods]
+        return grid.reshape(-1)[self._grid_pos]
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        """sum_x exp(-i k.x) v_x for every dual point k, in site order."""
+        return self.from_grid(np.fft.fftn(self.to_grid(values)))
+
+    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
+        """(1/N) sum_k exp(i k.x) c_k for every site x, in site order."""
+        return self.from_grid(np.fft.ifftn(self.to_grid(coeffs)))
 
     def __eq__(self, other):
         return (isinstance(other, TorusLattice)

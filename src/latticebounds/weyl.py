@@ -7,7 +7,8 @@ arguments,
 
     f_t = f * conj(h1_t) + conj(f) * h2_t      (periodic convolution)
 
-and the commutator norm of two evolved Weyl operators is exactly
+applied in k as the closed-form mode multipliers conj(h1^_t), h2^_t of
+`kernels`.  The commutator norm of two evolved Weyl operators is exactly
 2 |sin(sigma/2)| with sigma = Im<g, f_t>.  Inner products conjugate the
 first argument throughout.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .torus import Couplings, TorusLattice, dispersion
-from .kernels import compute_h, velocity
+from .kernels import _evolution_multipliers, velocity
 
 __all__ = ["WeylFunction", "HarmonicBoundParams", "evolve",
            "evolve_mode_space", "symplectic_form", "commutator_norm_exact",
@@ -81,21 +82,20 @@ def _check_same_lattice(*objs):
 
 def _conv(lat: TorusLattice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Periodic convolution (a*b)_x = sum_y a_y b_{x-y} via the FFT grid."""
-    ga = lat.to_grid(a.astype(complex))
-    gb = lat.to_grid(b.astype(complex))
-    return lat.from_grid(np.fft.ifftn(np.fft.fftn(ga) * np.fft.fftn(gb)))
+    return lat.ifft(lat.fft(a) * lat.fft(b))
 
 
 def evolve(f: WeylFunction, t: float, couplings: Couplings,
            zero_omega: bool = False) -> WeylFunction:
     """Exact harmonic evolution f -> f_t under the given couplings.
 
-    The result is supported on the whole lattice.
+    zero_omega must be set exactly when omega = 0.  The result is
+    supported on the whole lattice.
     """
     lat = f.lattice
-    h1, h2 = compute_h(lat, couplings, t, zero_omega=zero_omega)
-    ft = _conv(lat, f.values, np.conj(h1.values)) \
-        + _conv(lat, np.conj(f.values), h2.values)
+    w1, w2 = _evolution_multipliers(lat, couplings, t, zero_omega)
+    ft = lat.ifft(lat.fft(f.values) * np.conj(w1)
+                  + lat.fft(np.conj(f.values)) * w2)
     return WeylFunction(lat, ft, frozenset(range(lat.n_sites)))
 
 

@@ -239,6 +239,50 @@ def test_malformed_config_exits_1_with_one_line(tmp_path, model, path,
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+ARGV_MUTATIONS = [["verify", "--seed", "abc"], ["verify", "--threads", "x"],
+                  ["bogus"], [], ["verify", "--stray"]]
+
+
+@pytest.mark.parametrize("argv", ARGV_MUTATIONS, ids=" ".join)
+def test_usage_error_exits_1_with_one_line(argv):
+    rc, err = run_cli(argv)
+    assert rc == EXIT_VALIDATION
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+
+
+def test_existing_file_as_out_exits_1_with_one_line(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc, err = run_cli(["kernels", "--config", str(SCENARIOS / "kernels_ref.json"),
+                       "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_front_svg_leaves_unreached_distances_out(tmp_path):
+    cfg = copy.deepcopy(REFS["lightcone"])
+    cfg["times"] = cfg["times"][:40]  # the front stops short of the edge
+    path = scenario(tmp_path, "l.json", cfg)
+    assert run_cli(["lightcone", "--config", path,
+                    "--out", str(tmp_path)])[0] == EXIT_OK
+    svg = (tmp_path / "front.svg").read_text()
+    assert "nan" not in svg and svg.count("<polyline") == 3
+    # a threshold that is never crossed plots an empty polyline, and
+    # leaves the plot range to the others
+    cfg["thresholds"] = [1.9, 1e-2]
+    path = scenario(tmp_path, "l.json", cfg)
+    assert run_cli(["lightcone", "--config", path,
+                    "--out", str(tmp_path)])[0] == EXIT_OK
+    svg = (tmp_path / "front.svg").read_text()
+    assert "nan" not in svg and svg.count('<polyline points=""') == 1
+
+
 def test_seed_is_for_verify_only(tmp_path):
     cfg = scenario(tmp_path, "k.json", KERNELS)
     assert run_cli(["kernels", "--config", cfg, "--seed", "3",
@@ -274,33 +318,43 @@ def _paths(obj, prefix=()):
         yield from _paths(val, path)
 
 
+# extra arguments appended to a run's argv; "{file}" is an existing file
+ARGV_EXTRAS = [[], ["--seed", "abc"], ["--threads", "x"],
+               ["--stray"], ["--out", "{file}"]]
+
+
 @st.composite
 def mutations(draw):
     """A reference scenario with one leaf set from MENU or one key
-    deleted."""
+    deleted, and the run's argv with one entry of ARGV_EXTRAS appended
+    or its command replaced by an unknown one."""
     model = draw(st.sampled_from(sorted(REFS)))
     cfg = copy.deepcopy(REFS[model])
     nodes = list(_paths(cfg))
     if draw(st.booleans()):
         path = draw(st.sampled_from([p for p, leaf, _ in nodes if leaf]))
-        return model, mutated(model, path, draw(st.sampled_from(MENU)))
-    path = draw(st.sampled_from([p for p, _, in_obj in nodes if in_obj]))
-    obj = cfg
-    for key in path[:-1]:
-        obj = obj[key]
-    del obj[path[-1]]
-    return model, cfg
+        cfg = mutated(model, path, draw(st.sampled_from(MENU)))
+    else:
+        path = draw(st.sampled_from([p for p, _, in_obj in nodes
+                                     if in_obj]))
+        obj = cfg
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+    command = draw(st.sampled_from([model] * 9 + ["bogus"]))
+    return command, cfg, draw(st.sampled_from(ARGV_EXTRAS))
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(mutations())
 def test_mutated_scenarios_keep_the_exit_code_contract(case):
-    model, cfg = case
+    command, cfg, extra = case
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        rc, err = run_cli([model, "--config", path, "--out", out])
+        rc, err = run_cli([command, "--config", path, "--out", out]
+                          + [a.format(file=path) for a in extra])
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
     assert not any("Traceback" in line for line in err)
     if rc != EXIT_OK:

@@ -128,6 +128,12 @@ def test_zero_omega_needs_flag():
         compute_H(lat, c, -1, 0.5)
 
 
+def test_zero_omega_flag_is_refused_for_positive_omega():
+    with pytest.raises(ValueError, match="omega = 0"):
+        compute_h(TorusLattice(1, 4), Couplings(0.7, (1.0,)), 0.5,
+                  zero_omega=True)
+
+
 def test_zero_omega_kernels_at_time_zero():
     # at t = 0 the evolution kernels reduce to a delta and zero
     lat = TorusLattice(1, 8)

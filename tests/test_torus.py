@@ -144,3 +144,16 @@ def test_couplings_whose_c_max_overflows_are_rejected():
         with pytest.raises(ValueError, match="overflows"):
             Couplings(*c)
     assert np.isfinite(Couplings(1e150, (1e300,)).c_max)
+
+
+@pytest.mark.parametrize("nu,L", [(1, 4), (2, 3), (3, 2)])
+def test_fft_and_ifft_are_the_lattice_fourier_sums(nu, L):
+    lat = TorusLattice(nu, L)
+    n = lat.n_sites
+    rng = np.random.default_rng(nu)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phase = np.exp(1j * lat.dual @ lat.sites.T)  # phase[k, x] = e^{ik.x}
+    assert np.max(np.abs(lat.fft(v) - np.conj(phase) @ v)) < 1e-12
+    assert np.max(np.abs(lat.ifft(v) - phase.T @ v / n)) < 1e-12
+    assert np.max(np.abs(lat.ifft(lat.fft(v)) - v)) < 1e-13
+    assert np.max(np.abs(lat.fft(lat.ifft(v)) - v)) < 1e-13

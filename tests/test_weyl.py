@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticebounds.kernels import velocity
-from latticebounds.torus import Couplings, TorusLattice
+from latticebounds.torus import Couplings, TorusLattice, dispersion
 from latticebounds.weyl import (HarmonicBoundParams, WeylFunction,
                                 commutator_norm_exact, evolve,
                                 evolve_mode_space, geometric_lattice_sum,
@@ -132,6 +132,52 @@ def test_zero_omega_evolution_group_law():
                  couplings=c, zero_omega=True)
     both = evolve(f, 1.3, couplings=c, zero_omega=True)
     assert np.max(np.abs(one.values - both.values)) < 1e-9
+
+
+def parent_route_evolve(lat, c, f, t):
+    """The real-space route, written out: the three Fourier sums of the
+    evolution kernels with the k = 0 mode masked and replaced by
+    (1 - it)/N, it/N when omega = 0, then two periodic convolutions."""
+    n = lat.n_sites
+    gam = np.atleast_1d(dispersion(c, lat.dual))
+    phase = np.exp(-2j * gam * t)
+    mask = np.all(lat.sites == 0, axis=1) & (c.omega == 0)
+    phase = np.where(mask, 0.0, phase)
+    inv_gam = np.divide(1.0, gam, out=np.zeros_like(gam), where=~mask)
+    waves = np.exp(1j * lat.sites @ lat.dual.T) / n  # waves[x, k]
+    s0, s1, sm1 = (waves @ w for w in (phase, gam * phase, inv_gam * phase))
+    h1 = s0.real + 0.5j * (s1.imag + sm1.imag)
+    h2 = 0.5j * (s1.imag - sm1.imag)
+    if c.omega == 0:
+        h1 = h1 + (1.0 - 1j * t) / n
+        h2 = h2 + 1j * t / n
+    # diff[x, y] = index of x - y
+    diff = np.array([[lat.index(lat.wrap(x - y)) for y in lat.sites]
+                     for x in lat.sites])
+    return f @ np.conj(h1)[diff].T + np.conj(f) @ h2[diff].T
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7])
+@pytest.mark.parametrize("nu,L", [(1, 8), (2, 3), (3, 2)])
+def test_evolve_matches_the_real_space_kernel_route(nu, L, omega):
+    lat = TorusLattice(nu, L)
+    c = Couplings(omega, (1.0, 0.6, 1.3)[:nu])
+    f = random_field(lat, np.random.default_rng(nu))
+    for t in (0.0, 0.45, 1.7):
+        got = evolve(f, t, c, zero_omega=omega == 0).values
+        assert np.max(np.abs(got - parent_route_evolve(lat, c, f.values, t))) \
+            < 1e-12
+
+
+def test_zero_omega_flag_is_checked_both_ways():
+    f = WeylFunction.delta(LAT, (0,))
+    with pytest.raises(ValueError, match="omega = 0"):
+        evolve(f, 1.0, Couplings(0.7, (1.0,)), zero_omega=True)
+    with pytest.raises(ValueError, match="omega = 0"):
+        commutator_norm_exact(f, f, 1.0, Couplings(0.7, (1.0,)),
+                              zero_omega=True)
+    with pytest.raises(ZeroDivisionError):
+        evolve(f, 1.0, Couplings(0.0, (1.0,)))
 
 
 def test_commutator_norm_range_and_t0():
