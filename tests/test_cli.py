@@ -318,45 +318,65 @@ def _paths(obj, prefix=()):
         yield from _paths(val, path)
 
 
-# extra arguments appended to a run's argv; "{file}" is an existing file
-ARGV_EXTRAS = [[], ["--seed", "abc"], ["--threads", "x"],
-               ["--stray"], ["--out", "{file}"]]
-
-
 @st.composite
 def mutations(draw):
     """A reference scenario with one leaf set from MENU or one key
-    deleted, and the run's argv with one entry of ARGV_EXTRAS appended
-    or its command replaced by an unknown one."""
+    deleted."""
     model = draw(st.sampled_from(sorted(REFS)))
     cfg = copy.deepcopy(REFS[model])
     nodes = list(_paths(cfg))
     if draw(st.booleans()):
         path = draw(st.sampled_from([p for p, leaf, _ in nodes if leaf]))
-        cfg = mutated(model, path, draw(st.sampled_from(MENU)))
-    else:
-        path = draw(st.sampled_from([p for p, _, in_obj in nodes
-                                     if in_obj]))
-        obj = cfg
-        for key in path[:-1]:
-            obj = obj[key]
-        del obj[path[-1]]
-    command = draw(st.sampled_from([model] * 9 + ["bogus"]))
-    return command, cfg, draw(st.sampled_from(ARGV_EXTRAS))
+        return model, mutated(model, path, draw(st.sampled_from(MENU)))
+    path = draw(st.sampled_from([p for p, _, in_obj in nodes if in_obj]))
+    obj = cfg
+    for key in path[:-1]:
+        obj = obj[key]
+    del obj[path[-1]]
+    return model, cfg
 
 
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(mutations())
-def test_mutated_scenarios_keep_the_exit_code_contract(case):
-    command, cfg, extra = case
-    with tempfile.TemporaryDirectory() as out:
-        path = os.path.join(out, "cfg.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        rc, err = run_cli([command, "--config", path, "--out", out]
-                          + [a.format(file=path) for a in extra])
+def assert_exit_code_contract(rc, err):
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
     assert not any("Traceback" in line for line in err)
     if rc != EXIT_OK:
         assert sum(line.startswith(("error:", "numerical failure:"))
                    for line in err) == 1, err
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(mutations())
+def test_mutated_scenarios_keep_the_exit_code_contract(case):
+    model, cfg = case
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        rc, err = run_cli([model, "--config", path, "--out", out])
+    assert_exit_code_contract(rc, err)
+
+
+# argv mutations, each of which must be refused before a config is
+# read; "{file}" is an existing file
+ARGV_ERRORS = [["--seed", "abc"], ["--threads", "x"], ["--stray"],
+               ["--out", "{file}"], ["bogus"], ["--seed", "7"],
+               ["--config"], ["--seed"]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted([*REFS, "verify", "bogus"])),
+       st.lists(st.sampled_from(ARGV_ERRORS), min_size=1, max_size=3))
+def test_mutated_argv_keeps_the_exit_code_contract(command, extras):
+    """A run's command line with an unknown command or appended argv
+    errors. An argv error stops a run before its config is read, so
+    these are drawn apart from the config mutations above."""
+    with tempfile.TemporaryDirectory() as out:
+        taken = os.path.join(out, "taken")
+        open(taken, "w").close()
+        config = str(SCENARIOS / "kernels_ref.json")
+        argv = [command, "--config", config, "--out", out]
+        for extra in extras:
+            argv += [a.format(file=taken) for a in extra]
+        rc, err = run_cli(argv)
+    assert rc == EXIT_VALIDATION
+    assert_exit_code_contract(rc, err)
