@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .torus import Couplings, TorusLattice
 from .kernels import velocity
@@ -25,16 +24,16 @@ __all__ = ["PerturbationSpec", "AnharmonicBoundParams", "kappa_V",
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Perturbation described by |vhat'|, either as a continuum density or
-    as discrete atoms (w, weight) for trigonometric potentials.
+    """Perturbation V with its strength kappa = integral |w| |vhat'(w)| dw,
+    which each family's constructor gives in closed form.  A spec without
+    a potential may leave kappa unset; it then counts as 0.
 
     tag selects where the perturbation acts when a brute-force Hamiltonian
     is assembled: "site" (V(q_x)), "site_p" (V(p_x)), or "bond"
     (V(q_x - q_{x+e})).  The bound formulas do not depend on the tag.
     """
 
-    vprime_hat: Callable[[float], float] | None = None
-    atoms: tuple[tuple[float, float], ...] = ()
+    kappa: float | None = None
     potential: Callable[[float], float] | None = None
     tag: str = "site"
     name: str = "custom"
@@ -42,67 +41,35 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.tag not in ("site", "site_p", "bond"):
             raise ValueError("tag must be 'site', 'site_p', or 'bond'")
-        if self.vprime_hat is None and not self.atoms \
-                and self.potential is not None:
-            raise ValueError("a potential needs vprime_hat or atoms")
+        if self.kappa is None and self.potential is not None:
+            raise ValueError("a potential needs its kappa")
 
     @classmethod
     def zero(cls) -> "PerturbationSpec":
-        return cls(name="zero")
+        return cls(kappa=0.0, name="zero")
 
     @classmethod
     def gaussian(cls, alpha: float, tag: str = "site") -> "PerturbationSpec":
-        """V(q) = alpha * exp(-q^2/2); |vhat'(w)| = alpha |w| e^(-w^2/2) /
-        sqrt(2 pi), so kappa = alpha exactly."""
-        root2pi = np.sqrt(2.0 * np.pi)
-        return cls(
-            vprime_hat=lambda w, a=alpha: abs(a) * abs(w)
-            * np.exp(-w * w / 2.0) / root2pi,
-            potential=lambda q, a=alpha: a * np.exp(-q * q / 2.0),
-            tag=tag, name=f"gaussian({alpha})")
+        """V(q) = alpha * exp(-q^2/2); |vhat'(w)| = |alpha| |w| e^(-w^2/2) /
+        sqrt(2 pi), so kappa = |alpha|."""
+        return cls(kappa=abs(alpha),
+                   potential=lambda q, a=alpha: a * np.exp(-q * q / 2.0),
+                   tag=tag, name=f"gaussian({alpha})")
 
     @classmethod
     def cosine(cls, kappa: float, beta: float,
                tag: str = "site") -> "PerturbationSpec":
         """V(q) = kappa * cos(beta q); vhat' is a pair of atoms at +-beta
-        with weight kappa*beta/2 each, so kappa_V = kappa * beta^2."""
-        return cls(
-            atoms=((beta, abs(kappa) * abs(beta) / 2.0),
-                   (-beta, abs(kappa) * abs(beta) / 2.0)),
-            potential=lambda q, k=kappa, b=beta: k * np.cos(b * q),
-            tag=tag, name=f"cosine({kappa},{beta})")
-
-    @property
-    def l1_norm(self) -> float:
-        """||vhat'||_1."""
-        if self.atoms:
-            return float(sum(w for _, w in self.atoms))
-        if self.vprime_hat is None:
-            return 0.0
-        v1, _ = quad(self.vprime_hat, 0.0, np.inf, limit=200)
-        v2, _ = quad(self.vprime_hat, -np.inf, 0.0, limit=200)
-        return float(v1 + v2)
+        with weight |kappa beta|/2 each, so kappa_V = |kappa| beta^2."""
+        # beta * beta, not beta ** 2: a float power raises OverflowError
+        return cls(kappa=abs(kappa) * beta * beta,
+                   potential=lambda q, k=kappa, b=beta: k * np.cos(b * q),
+                   tag=tag, name=f"cosine({kappa},{beta})")
 
 
-def kappa_V(p: PerturbationSpec, rel_tol: float = 1e-8) -> float:
-    """Adaptive quadrature of integral |w| |vhat'(w)| dw.
-
-    Raises if the quadrature error estimate exceeds rel_tol relatively.
-    """
-    if p.atoms:
-        return float(sum(abs(w) * wt for w, wt in p.atoms))
-    if p.vprime_hat is None:
-        return 0.0
-    # split at the |w| kink so the adaptive rule sees smooth integrands
-    v1, e1 = quad(lambda w: abs(w) * p.vprime_hat(w), 0.0, np.inf,
-                  limit=400, epsabs=1e-13, epsrel=1e-12)
-    v2, e2 = quad(lambda w: abs(w) * p.vprime_hat(w), -np.inf, 0.0,
-                  limit=400, epsabs=1e-13, epsrel=1e-12)
-    val, err = v1 + v2, e1 + e2
-    if val != 0.0 and err / abs(val) > rel_tol:
-        raise RuntimeError(
-            f"kappa quadrature did not converge: value {val}, error {err}")
-    return float(val)
+def kappa_V(p: PerturbationSpec) -> float:
+    """The perturbation strength kappa = integral |w| |vhat'(w)| dw."""
+    return 0.0 if p.kappa is None else float(p.kappa)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ digits) and static SVG plots.
 Only `main` maps failures to exit codes, each with one stderr line: 1
 (`error:`) for a usage error in the arguments, ScenarioError, ValueError,
 ZeroDivisionError and OSError (an unusable --out); 2
-(`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK, the
-kappa quadrature) and numpy.linalg.LinAlgError.  Numerical imports wait
-until --threads has set the BLAS thread count.
+(`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK) and
+numpy.linalg.LinAlgError.  Numerical imports wait until --threads has set
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -233,8 +233,6 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list) -> None:
-    if not rows:
-        raise ScenarioError(f"refusing to write empty table to {path}")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -379,8 +377,12 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
               {"name": "envelope theorem", "x": times, "y": thm}]
     if a is not None:
         series.append({"name": "envelope corollary", "x": times, "y": cor})
+    # exact norms are drawn down to 1/100 of the smallest theorem bound:
+    # far below it they say nothing about the bound, and near 1e-16 they
+    # are round-off whose log-axis position changes with summation order
+    low = min([b for b in thm if 0.0 < b < float("inf")], default=0.0)
     write_svg(os.path.join(outdir, "commutator.svg"), series, "t",
-              "commutator norm")
+              "commutator norm", floor=max(1e-2 * low, 1e-18))
     return EXIT_OK
 
 
@@ -523,7 +525,7 @@ def cmd_clustering(cfg: dict, outdir: str) -> int:
 
 def cmd_verify(outdir: str, seed: int | None) -> int:
     import numpy as np
-    checks: list[tuple[str, bool, float]] = []  # (name, passed, margin)
+    checks: list[tuple[str, float, float]] = []  # (name, err, tol)
     rng = np.random.default_rng(0 if seed is None else seed)
 
     from .torus import Couplings, TorusLattice
@@ -550,7 +552,7 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
         for t in (0.0, 0.5, 1.0):
             vals = np.abs(compute_H(lat, c, m, t).values)
             worst = max(worst, float(np.max(vals - envelope(e, m, t, dist))))
-    checks.append(("kernel_envelopes", worst <= 0.0, -worst))
+    checks.append(("kernel_envelopes", worst, 0.0))
 
     # fast vs direct kernels
     err = 0.0
@@ -559,7 +561,7 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
         err = max(err, float(np.max(np.abs(
             compute_H(lat, c, m, t).values
             - compute_H_direct(lat, c, m, t).values))))
-    checks.append(("kernel_oracle", err < 1e-10, 1e-10 - err))
+    checks.append(("kernel_oracle", err, 1e-10))
 
     # evolution invariants and mode-space oracle
     fv = rng.standard_normal(lat.n_sites) + 1j * rng.standard_normal(lat.n_sites)
@@ -567,13 +569,13 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     t = 0.7
     d1 = float(np.max(np.abs(evolve(f, t, couplings=c).values
                              - evolve_mode_space(f, t, c).values)))
-    checks.append(("mode_space_oracle", d1 < 1e-10, 1e-10 - d1))
+    checks.append(("mode_space_oracle", d1, 1e-10))
     f0 = float(np.max(np.abs(evolve(f, 0.0, couplings=c).values - fv)))
-    checks.append(("identity_at_t0", f0 < 1e-12, 1e-12 - f0))
+    checks.append(("identity_at_t0", f0, 1e-12))
 
     # harmonic bound domination on random disjoint pairs
     p = HarmonicBoundParams(1.0, c)
-    ok, margin = True, np.inf
+    excess = []  # exact norm minus bound
     for _ in range(50):
         x, y = rng.choice(lat.n_sites, size=2, replace=False)
         fa = WeylFunction.from_sites(lat, [(lat.sites[x], 1.0 + 0.5j)])
@@ -581,12 +583,11 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
         tt = float(rng.uniform(0, 2))
         lhs = commutator_norm_exact(fa, ga, tt, couplings=c)
         rhs = harmonic_bound_rhs(fa, ga, tt, p)
-        ok = ok and lhs <= rhs
-        margin = min(margin, rhs - lhs)
-    checks.append(("harmonic_bound", ok, float(margin)))
+        excess.append(lhs - rhs)
+    checks.append(("harmonic_bound", float(np.max(excess)), 0.0))
 
-    mu0 = mu_star()
-    checks.append(("mu0_bracket", 0.5 < mu0 < 1.0, min(mu0 - 0.5, 1.0 - mu0)))
+    # 0.5 < mu0 < 1.0
+    checks.append(("mu0_bracket", abs(mu_star() - 0.75), 0.25))
 
     # general-bound constants vs a brute recomputation
     # six distinct points of [-4, 4]^2: the metric needs d > 0 off the
@@ -597,12 +598,15 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     F = DecayFunction(lambda r: (1.0 + r) ** -3, 0.2)
     normF, ca = decay_constants(G, F)
     brute = max(sum(F.f(G.d[x, y]) for y in range(G.n)) for x in range(G.n))
-    checks.append(("decay_constants", abs(normF - brute) < 1e-12
-                   and ca > 0, 1e-12 - abs(normF - brute)))
+    checks.append(("decay_constants",
+                   abs(normF - brute) if ca > 0 else np.inf, 1e-12))
 
+    # kappa = integral 0.25 w^2 e^(-w^2/2) / sqrt(2 pi) dw: the integrand
+    # is smooth with Gaussian tails, so a uniform-grid sum converges fast
+    w = np.arange(-128, 129) / 8.0  # step 1/8 on [-16, 16]
+    density = 0.25 * w * w * np.exp(-w * w / 2.0) / np.sqrt(2.0 * np.pi)
     kap = kappa_V(PerturbationSpec.gaussian(0.25))
-    checks.append(("kappa_gaussian", abs(kap - 0.25) < 1e-8,
-                   1e-8 - abs(kap - 0.25)))
+    checks.append(("kappa_gaussian", abs(kap - np.sum(density) / 8.0), 1e-8))
 
     # Fock oracle vs the exact formula on a 2-site ring, whose sites are
     # those of the L = 1 torus, (0,) and (1,), in order
@@ -613,8 +617,7 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
                                   WeylFunction(lat2, gv2), 0.3, couplings=c)
     brute2 = fsim.build_system(2, 16, c).commutator_norm(fv2, gv2, 0.3,
                                                          n_low=4)
-    checks.append(("fock_oracle", abs(exact - brute2) < 1e-2,
-                   1e-2 - abs(exact - brute2)))
+    checks.append(("fock_oracle", abs(exact - brute2), 1e-2))
 
     # Gaussian ground state vs Fock ground state
     cov = ground_covariance(lat2, c)
@@ -623,17 +626,18 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     h = np.array([0.5 + 0.2j, 0.0])
     gexp = weyl_expectation(cov, WeylFunction(lat2, h))
     bexp = float(np.vdot(psi0, sys30.weyl_matrix(h) @ psi0).real)
-    checks.append(("gaussian_ground_state", abs(gexp - bexp) < 1e-6,
-                   1e-6 - abs(gexp - bexp)))
+    checks.append(("gaussian_ground_state", abs(gexp - bexp), 1e-6))
 
-    rows = [[name, int(passed), float(m)] for name, passed, m in checks]
+    # err < tol passes; a zero tol bounds a signed excess, which passes at 0
+    rows = [[name, int(err <= 0.0 if tol == 0.0 else err < tol), float(err),
+             tol] for name, err, tol in checks]
     write_csv(os.path.join(outdir, "verify.csv"),
-              ["check", "passed", "margin"], rows)
-    width = max(len(name) for name, _, _ in checks)
-    for name, passed, m in checks:
+              ["check", "passed", "err", "tol"], rows)
+    width = max(len(name) for name, *_ in checks)
+    for name, passed, err, tol in rows:
         print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  "
-              f"margin={m:.3e}")
-    if not all(passed for _, passed, _ in checks):
+              f"err={err:.3e} tol={tol:.3e}")
+    if not all(passed for _, passed, *_ in rows):
         raise ConvergenceError("verification battery failed")
     return EXIT_OK
 

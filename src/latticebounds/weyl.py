@@ -18,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .torus import Couplings, TorusLattice, dispersion
 from .kernels import _evolution_multipliers, velocity
 
 __all__ = ["WeylFunction", "HarmonicBoundParams", "evolve",
            "evolve_mode_space", "symplectic_form", "commutator_norm_exact",
-           "harmonic_bound_rhs", "observable_transfer", "weight_integral",
-           "geometric_lattice_sum"]
+           "harmonic_bound_rhs", "geometric_lattice_sum"]
 
 
 class WeylFunction:
@@ -217,18 +215,3 @@ def harmonic_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
         return float(Ct * norms * size
                      * np.exp(-mu * (p.a * dxy - v * abs(t))))
     raise ValueError(f"unknown form {form!r}")
-
-
-def weight_integral(ahat, lo: float = -np.inf, hi: float = np.inf) -> float:
-    """Quadrature of the observable weight integral(|s * ahat(s)| ds)."""
-    val, _ = quad(lambda s: abs(s * ahat(s)), lo, hi, limit=200)
-    return float(val)
-
-
-def observable_transfer(bound: float, w_a: float, w_b: float) -> float:
-    """Transfer a Weyl commutator bound to smeared observables: bound*wA*wB."""
-    if w_a < 0 or w_b < 0:
-        raise ValueError("observable weights must be nonnegative")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return float(bound * w_a * w_b)

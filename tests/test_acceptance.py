@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import zeta
 
 from latticebounds.anharmonic import (AnharmonicBoundParams,
@@ -249,10 +250,19 @@ def ring_gaussian_expectation(n_sites, c, amps):
     return float(np.exp(-0.5 * (re @ QQ @ re + im @ PP @ im)))
 
 
+def gaussian_kappa_by_quadrature(alpha):
+    """integral |w| |vhat'(w)| dw for V(q) = alpha e^(-q^2/2), whose
+    |vhat'(w)| = alpha |w| e^(-w^2/2) / sqrt(2 pi)."""
+    return sum(quad(lambda w: alpha * w * w * np.exp(-w * w / 2.0)
+                    / np.sqrt(2.0 * np.pi), lo, hi,
+                    epsabs=1e-13, epsrel=1e-12)[0]
+               for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)))
+
+
 def test_07_anharmonic_bound():
     t0 = time.time()
-    kap_err = max(abs(kappa_V(PerturbationSpec.gaussian(a)) - a)
-                  for a in (0.1, 0.5))
+    kap_err = max(abs(kappa_V(PerturbationSpec.gaussian(a))
+                      - gaussian_kappa_by_quadrature(a)) for a in (0.1, 0.5))
     b = AnharmonicBoundParams(1.0, 1.0, Couplings(1.0, (1.0,)), 1)
     _, Cnu, _ = anharm_constants(b, PerturbationSpec.zero(), z_limit=True)
     cnu_err = abs(Cnu - 4.0 * (np.pi ** 2 / 3.0 - 1.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import zeta
 
 from latticebounds.anharmonic import (AnharmonicBoundParams, F_mu,
@@ -14,25 +15,34 @@ from latticebounds.weyl import WeylFunction
 C11 = Couplings(1.0, (1.0,))
 
 
+def _kappa_by_quadrature(density) -> float:
+    """integral |w| density(w) dw, split at the |w| kink."""
+    return sum(quad(lambda w: abs(w) * density(w), lo, hi, limit=400,
+                    epsabs=1e-13, epsrel=1e-12)[0]
+               for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)))
+
+
 def test_gaussian_kappa_is_alpha():
-    for alpha in (0.1, 0.5, 2.0):
-        assert kappa_V(PerturbationSpec.gaussian(alpha)) == pytest.approx(
-            alpha, rel=1e-8)
+    for alpha in (0.1, 0.5, 2.0, -0.3):
+        # |vhat'(w)| of V(q) = alpha e^(-q^2/2)
+        def density(w):
+            return abs(alpha) * abs(w) * np.exp(-w * w / 2.0) \
+                / np.sqrt(2.0 * np.pi)
+        kap = kappa_V(PerturbationSpec.gaussian(alpha))
+        assert kap == abs(alpha)
+        assert kap == pytest.approx(_kappa_by_quadrature(density), rel=1e-8)
 
 
 def test_cosine_kappa_is_kappa_beta_squared():
-    p = PerturbationSpec.cosine(0.3, 2.0)
-    assert kappa_V(p) == pytest.approx(0.3 * 4.0, rel=1e-14)
-    assert p.atoms == ((2.0, 0.3), (-2.0, 0.3))
-
-
-def test_l1_norms():
-    # gaussian: integral |w| e^{-w^2/2} / sqrt(2 pi) dw = alpha sqrt(2/pi)
-    p = PerturbationSpec.gaussian(1.5)
-    assert p.l1_norm == pytest.approx(1.5 * np.sqrt(2.0 / np.pi), rel=1e-8)
-    assert PerturbationSpec.cosine(0.5, 3.0).l1_norm == pytest.approx(1.5)
-    assert PerturbationSpec.zero().l1_norm == 0.0
-    assert kappa_V(PerturbationSpec.zero()) == 0.0
+    for kappa, beta in ((0.3, 2.0), (-0.2, 1.5), (0.7, -0.4)):
+        # vhat' of V(q) = kappa cos(beta q): atoms at +-beta, each of
+        # weight |kappa beta| / 2
+        atoms = [(beta, abs(kappa * beta) / 2.0),
+                 (-beta, abs(kappa * beta) / 2.0)]
+        assert kappa_V(PerturbationSpec.cosine(kappa, beta)) == \
+            pytest.approx(sum(abs(w) * wt for w, wt in atoms), rel=1e-14)
+    # a float power would raise OverflowError here
+    assert kappa_V(PerturbationSpec.cosine(0.5, 1e300)) == np.inf
 
 
 def test_spec_validation():
@@ -40,6 +50,8 @@ def test_spec_validation():
         PerturbationSpec.gaussian(1.0, tag="edge")
     with pytest.raises(ValueError):
         PerturbationSpec(potential=lambda q: q)
+    assert kappa_V(PerturbationSpec.zero()) == 0.0
+    assert kappa_V(PerturbationSpec()) == 0.0
 
 
 def test_params_validation():
@@ -167,16 +179,3 @@ def test_bound_rhs_scales_with_sup_norms():
                            WeylFunction.delta(lat, (4,)), 0.3, b, p)
     assert anharm_bound_rhs(f, g, 0.3, b, p) == pytest.approx(
         2.0 * abs(0.5 + 0.5j) * one, rel=1e-12)
-
-
-def test_kappa_quadrature_failure_is_reported():
-    import warnings
-
-    # wildly oscillatory density: the adaptive rule returns a large error
-    # estimate and the guard must refuse the value
-    rough = PerturbationSpec(
-        vprime_hat=lambda w: np.cos(w ** 3) ** 2 / (1.0 + abs(w)) ** 1.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(RuntimeError):
-            kappa_V(rough)

@@ -10,8 +10,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticebounds import weyl
 from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                               ScenarioError, main, write_csv)
+                               main)
 
 
 def scenario(tmp_path, name, payload):
@@ -161,19 +162,19 @@ def test_verify_battery_passes(tmp_path, capsys):
     assert main(["verify", "--out", str(tmp_path)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) >= 8
-    assert all("PASS" in line for line in lines)
-    assert (tmp_path / "verify.csv").exists()
+    rows = (tmp_path / "verify.csv").read_text().splitlines()
+    assert rows[0] == "check,passed,err,tol" and len(rows) == len(lines) + 1
+    for line, row in zip(lines, rows[1:]):
+        name, status, err, tol = line.split()
+        assert status == "PASS" and row.startswith(f"{name},1,")
+        assert err.startswith("err=") and tol.startswith("tol=")
+        float(err[4:]), float(tol[4:])
 
 
 def test_verify_seed_with_coinciding_draws(tmp_path):
     # drawn with replacement, seed 11 gives two equal points for the
     # decay-constant check
     assert main(["verify", "--seed", "11", "--out", str(tmp_path)]) == EXIT_OK
-
-
-def test_empty_table_is_refused(tmp_path):
-    with pytest.raises(ScenarioError):
-        write_csv(str(tmp_path / "x.csv"), ["a"], [])
 
 
 # ------------------------------------------------ the exit-code contract
@@ -281,6 +282,37 @@ def test_front_svg_leaves_unreached_distances_out(tmp_path):
                     "--out", str(tmp_path)])[0] == EXIT_OK
     svg = (tmp_path / "front.svg").read_text()
     assert "nan" not in svg and svg.count('<polyline points=""') == 1
+
+
+def test_lightcone_with_no_crossing_writes_an_empty_front(tmp_path):
+    # no front inside the time grid is an outcome, not rejected input
+    path = scenario(tmp_path, "l.json",
+                    dict(REFS["lightcone"], thresholds=[1.5, 1.9]))
+    assert run_cli(["lightcone", "--config", path,
+                    "--out", str(tmp_path)]) == (EXIT_OK, [])
+    assert (tmp_path / "front.csv").read_text() == \
+        "threshold,r,arrival_t,fitted_velocity,velocity_bound\n"
+    svg = (tmp_path / "front.svg").read_text()
+    assert svg.count("<polyline") == svg.count('<polyline points=""') == 2
+
+
+def test_commutator_svg_does_not_plot_round_off(tmp_path, monkeypatch):
+    # exact norms far below the bound are round-off-sized: 2.7e-15 at the
+    # reference's first time, ~1e-17 throughout at distance 30
+    far = dict(REFS["commutator"], lattice={"nu": 1, "L": 32},
+               g=[{"site": [30], "re": 1.0}], times=[0.1, 0.2, 0.3])
+    exact = weyl.commutator_norm_exact
+    for cfg in (REFS["commutator"], far):
+        path = scenario(tmp_path, "c.json", cfg)
+        svgs = []
+        for shift in (0.0, 1e-15):
+            monkeypatch.setattr(weyl, "commutator_norm_exact",
+                                lambda *a, s=shift, **k: exact(*a, **k) + s)
+            out = tmp_path / str(shift)
+            assert run_cli(["commutator", "--config", path,
+                            "--out", str(out)])[0] == EXIT_OK
+            svgs.append((out / "commutator.svg").read_bytes())
+        assert svgs[0] == svgs[1]
 
 
 def test_seed_is_for_verify_only(tmp_path):

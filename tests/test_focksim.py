@@ -116,8 +116,8 @@ def test_even_potentials_give_a_real_hamiltonian(tag):
         assert sys.hamiltonian().dtype == np.float64
 
 
-ODD_P = PerturbationSpec(atoms=((1.0, 0.15), (-1.0, 0.15)),
-                         potential=lambda p: 0.3 * np.sin(p),
+# V'(q) = 0.3 cos(q): vhat' has atoms of weight 0.15 at w = +-1
+ODD_P = PerturbationSpec(kappa=0.3, potential=lambda p: 0.3 * np.sin(p),
                          tag="site_p", name="sine")
 
 
@@ -159,6 +159,23 @@ def test_evolve_observable_identity_and_norm():
     assert np.linalg.norm(at, 2) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         evolve_observable(sys, np.eye(3), 0.5)
+
+
+@pytest.mark.parametrize("pert", [PerturbationSpec.gaussian(0.4), ODD_P],
+                         ids=["gaussian", "odd_p"])
+def test_commutator_norm_against_the_heisenberg_picture(pert):
+    # dim 216: the dense [e^{itH} W_f e^{-itH}, W_g] restricted to the
+    # low-energy basis, against the propagated column blocks
+    sys = build_system(3, 6, C11, perturbation=pert)
+    f = np.array([0.6 - 0.3j, 0.0, 0.0])
+    g = np.array([0.0, 0.2 + 0.5j, 0.0])
+    wf, wg = sys.weyl_matrix(f), sys.weyl_matrix(g)
+    basis = sys.low_energy_basis(4)[1]
+    for t in (0.0, 0.4, 1.3):
+        at = evolve_observable(sys, wf, t)
+        oracle = np.linalg.norm((at @ wg - wg @ at) @ basis, 2)
+        assert sys.commutator_norm(f, g, t, n_low=4) == pytest.approx(
+            oracle, abs=1e-10)
 
 
 def test_commutator_norm_matches_exact_weyl_dynamics():

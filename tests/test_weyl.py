@@ -7,9 +7,8 @@ from latticebounds.torus import Couplings, TorusLattice, dispersion
 from latticebounds.weyl import (HarmonicBoundParams, WeylFunction,
                                 commutator_norm_exact, evolve,
                                 evolve_mode_space, geometric_lattice_sum,
-                                harmonic_bound_rhs, observable_transfer,
-                                support_distance, symplectic_form,
-                                weight_integral)
+                                harmonic_bound_rhs, support_distance,
+                                symplectic_form)
 
 C11 = Couplings(1.0, (1.0,))
 LAT = TorusLattice(1, 8)
@@ -289,17 +288,3 @@ def test_support_distance():
     f = WeylFunction.from_sites(LAT, [((0,), 1.0), ((1,), 1.0)])
     g = WeylFunction.from_sites(LAT, [((5,), 1.0), ((-7,), 2.0)])
     assert support_distance(f, g) == 4
-
-
-def test_weight_integral_gaussian():
-    # integral |s| e^{-s^2/2} ds = 2
-    val = weight_integral(lambda s: np.exp(-s * s / 2.0))
-    assert val == pytest.approx(2.0, rel=1e-8)
-
-
-def test_observable_transfer():
-    assert observable_transfer(0.5, 2.0, 3.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        observable_transfer(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        observable_transfer(1.0, -1.0, 1.0)
