@@ -6,8 +6,9 @@ genbound, anharm, focksim, clustering) or the verification battery
 schema in SCHEMAS, the one typed reader: exact types (a float field takes
 a finite number, an int field never a bool or a float), required and
 unknown keys at every level, defaults filled in.  A config's lattice may
-have at most MAX_SITES sites.  Outputs are CSV tables (12 significant
-digits) and static SVG plots.
+have at most MAX_SITES sites.  Outputs are static SVG plots and CSV tables
+(`write_csv`): floats as %.12g, integers and labels as text, and nan in
+the columns the README lists where a value does not apply.
 
 Only `main` maps failures to exit codes, each with one stderr line: 1
 (`error:`) for a usage error in the arguments, ScenarioError, ValueError,
@@ -180,7 +181,7 @@ def load_scenario(path: str, model: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise ScenarioError(f"cannot read scenario {path}: {e}") from e
     if type(cfg) is dict and cfg.get("model", model) != model:
         raise ScenarioError(f"{path}: model is {cfg['model']!r}, this "
@@ -226,17 +227,16 @@ def _build_perturbation(cfg: dict | None):
 
 # ---------------------------------------------------------------- output
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def write_csv(path: str, header: list[str], rows: list) -> None:
+def write_csv(path: str, columns: dict) -> None:
+    """Stream {header: column} as CSV rows; columns are 1-D, one type each."""
+    import numpy as np
+    cols = [np.asarray(c) for c in columns.values()]
+    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s"
+                   for c in cols) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in cols),
+                                               strict=True))
 
 
 _PALETTE = ["#1f6f8b", "#c1403d", "#3d8c40", "#8a5ec2", "#c58a1f",
@@ -310,49 +310,49 @@ def cmd_kernels(cfg: dict, outdir: str) -> int:
     from .kernels import EnvelopeParams, compute_H, envelope
     lat = _build_lattice(cfg["lattice"])
     c = _build_couplings(cfg["couplings"], lat.nu)
-    times = cfg["times"]
+    ms, times = cfg["m"], cfg["times"]
     env = None if cfg["mu"] is None else EnvelopeParams(cfg["mu"], c)
     dist = lat.abs_l1()
     rvals = list(range(int(np.max(dist)) + 1))
-    rows = []
-    series = []
-    for m in cfg["m"]:
-        for t in times:
-            prof = np.zeros(len(rvals))
-            np.maximum.at(prof, dist, np.abs(compute_H(lat, c, m, t).values))
-            cols = [rvals, prof.tolist()]
-            if env is not None:
-                cols.append(envelope(env, m, t, rvals).tolist())
-            rows += [[m, t, *row] for row in zip(*cols)]
+    prof = np.zeros((len(ms), len(times), len(rvals)))
+    envs, series = [], []
+    for i, m in enumerate(ms):
+        for j, t in enumerate(times):
+            np.maximum.at(prof[i, j], dist,
+                          np.abs(compute_H(lat, c, m, t).values))
             series.append({"name": f"|H^({m})| t={t:g}", "x": rvals,
-                           "y": cols[1]})
+                           "y": prof[i, j].tolist()})
+            if env is not None:
+                envs.append(envelope(env, m, t, rvals))
         if env is not None:  # the envelope at the last time
             series.append({"name": f"envelope m={m} t={times[-1]:g}",
-                           "x": rvals, "y": cols[2]})
-    header = ["m", "t", "r", "max_abs_value"]
+                           "x": rvals, "y": envs[-1].tolist()})
+    m_col, t_col, r_col = np.meshgrid(ms, times, rvals, indexing="ij")
+    columns = {"m": m_col.ravel(), "t": t_col.ravel(), "r": r_col.ravel(),
+               "max_abs_value": prof.ravel()}
     if env is not None:
-        header.append("envelope")
-    write_csv(os.path.join(outdir, "kernels.csv"), header, rows)
+        columns["envelope"] = np.concatenate(envs)
+    write_csv(os.path.join(outdir, "kernels.csv"), columns)
     write_svg(os.path.join(outdir, "kernels.svg"), series, "distance r",
               "max |H^(m)(t,x)| at distance r")
     return EXIT_OK
 
 
 def cmd_evolve(cfg: dict, outdir: str) -> int:
+    import numpy as np
     from .weyl import evolve
     lat = _build_lattice(cfg["lattice"])
     c = _build_couplings(cfg["couplings"], lat.nu)
     if cfg["zero_omega"] != (c.omega == 0.0):
         raise ScenarioError("zero_omega must be set exactly when omega = 0")
     f = _build_weyl(lat, cfg["f"])
-    rows = []
-    for t in cfg["times"]:
-        ft = evolve(f, t, couplings=c, zero_omega=cfg["zero_omega"])
-        for i, x in enumerate(lat.sites):
-            rows.append([t, " ".join(str(int(v)) for v in x),
-                         float(ft.values[i].real), float(ft.values[i].imag)])
+    times = cfg["times"]
+    values = np.stack([evolve(f, t, couplings=c, zero_omega=cfg["zero_omega"])
+                       .values for t in times])
+    labels = [" ".join(map(str, x)) for x in lat.sites.tolist()]
     write_csv(os.path.join(outdir, "evolve.csv"),
-              ["t", "site", "re_f", "im_f"], rows)
+              {"t": np.repeat(times, lat.n_sites), "site": labels * len(times),
+               "re_f": values.real.ravel(), "im_f": values.imag.ravel()})
     return EXIT_OK
 
 
@@ -371,8 +371,8 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
     cor = [harmonic_bound_rhs(f, g, t, p, form="corollary")
            if a is not None else float("nan") for t in times]
     write_csv(os.path.join(outdir, "commutator.csv"),
-              ["t", "r", "exact_norm", "bound_theorem", "bound_corollary"],
-              [[t, r, *v] for t, *v in zip(times, exact, thm, cor)])
+              {"t": times, "r": [r] * len(times), "exact_norm": exact,
+               "bound_theorem": thm, "bound_corollary": cor})
     series = [{"name": "exact_norm", "x": times, "y": exact},
               {"name": "envelope theorem", "x": times, "y": thm}]
     if a is not None:
@@ -401,21 +401,23 @@ def cmd_lightcone(cfg: dict, outdir: str) -> int:
     # one kernel evaluation per time covers every distance
     table = np.array([2.0 * np.abs(np.sin(
         compute_H(lat, c, -1, t).values[idx] / 2.0)) for t in times])
-    rows = [[t, r, float(v)]
-            for t, row in zip(times, table) for r, v in zip(rvals, row)]
-    write_csv(os.path.join(outdir, "lightcone.csv"), ["t", "r", "norm"], rows)
+    write_csv(os.path.join(outdir, "lightcone.csv"),
+              {"t": np.repeat(times, len(rvals)),
+               "r": np.tile(rvals, len(times)), "norm": table.ravel()})
     vb = optimal_velocity(c)
-    fronts = [(th, extract_front(times, rvals, table, th, r_max=lat.L - 2))
+    fronts = [extract_front(times, rvals, table, th, r_max=lat.L - 2)
               for th in cfg["thresholds"]]
-    frows = [[th, r, front.arrivals[r], front.fitted_velocity, vb]
-             for th, front in fronts for r in sorted(front.arrivals)]
-    write_csv(os.path.join(outdir, "front.csv"),
-              ["threshold", "r", "arrival_t", "fitted_velocity",
-               "velocity_bound"], frows)
+    n = [len(fr.arrivals) for fr in fronts]  # keyed in the order of rvals
+    write_csv(os.path.join(outdir, "front.csv"), {
+        "threshold": np.repeat(cfg["thresholds"], n),
+        "r": [r for fr in fronts for r in fr.arrivals],
+        "arrival_t": [t for fr in fronts for t in fr.arrivals.values()],
+        "fitted_velocity": np.repeat([fr.fitted_velocity for fr in fronts], n),
+        "velocity_bound": np.full(sum(n), vb)})
     # r_max caps only the velocity fit; the arrivals cover every r
-    series = [{"name": f"arrival theta={th:g}",
-               "x": [front.arrivals.get(r, float("nan")) for r in rvals],
-               "y": rvals} for th, front in fronts]
+    series = [{"name": f"arrival theta={fr.threshold:g}",
+               "x": [fr.arrivals.get(r, float("nan")) for r in rvals],
+               "y": rvals} for fr in fronts]
     write_svg(os.path.join(outdir, "front.svg"), series, "arrival time",
               "distance r", logy=False)
     print(f"mu0 = {mu_star():.12g}, velocity bound = {vb:.12g}")
@@ -433,12 +435,13 @@ def cmd_genbound(cfg: dict, outdir: str) -> int:
                                   for tc in cfg["terms"]])
     p = cfg["decay"]["exponent"]
     F = DecayFunction(lambda r: (1.0 + r) ** (-p), cfg["decay"]["a"])
-    rows = [[form, t, theorem_phi_bound(G, F, cfg["X"], cfg["Y"],
-                                        cfg["normA"], cfg["normB"], t,
-                                        form=form, nu=cfg["nu"])]
-            for form in cfg["forms"] for t in cfg["times"]]
-    write_csv(os.path.join(outdir, "genbound.csv"), ["form", "t", "bound"],
-              rows)
+    forms, times = cfg["forms"], cfg["times"]
+    write_csv(os.path.join(outdir, "genbound.csv"), {
+        "form": [form for form in forms for _ in times],
+        "t": times * len(forms),
+        "bound": [theorem_phi_bound(G, F, cfg["X"], cfg["Y"], cfg["normA"],
+                                    cfg["normB"], t, form=form, nu=cfg["nu"])
+                  for form in forms for t in times]})
     return EXIT_OK
 
 
@@ -454,12 +457,14 @@ def cmd_anharm(cfg: dict, outdir: str) -> int:
     z_limit = cfg["z_limit"]
     C, Cnu, v = anharm_constants(b, pert, lattice=lat, z_limit=z_limit)
     write_csv(os.path.join(outdir, "anharm_constants.csv"),
-              ["kappa", "C", "C_nu", "v"], [[kappa_V(pert), C, Cnu, v]])
-    rows = [[form, t, anharm_bound_rhs(f, g, t, b, pert, form=form,
-                                       z_limit=z_limit)]
-            for form in cfg["forms"] for t in cfg["times"]]
-    write_csv(os.path.join(outdir, "anharm.csv"), ["form", "t", "bound"],
-              rows)
+              {"kappa": [kappa_V(pert)], "C": [C], "C_nu": [Cnu], "v": [v]})
+    forms, times = cfg["forms"], cfg["times"]
+    write_csv(os.path.join(outdir, "anharm.csv"), {
+        "form": [form for form in forms for _ in times],
+        "t": times * len(forms),
+        "bound": [anharm_bound_rhs(f, g, t, b, pert, form=form,
+                                   z_limit=z_limit)
+                  for form in forms for t in times]})
     return EXIT_OK
 
 
@@ -484,13 +489,11 @@ def cmd_focksim(cfg: dict, outdir: str) -> int:
             raise ConvergenceError(
                 f"truncation gate failed: max change {change:.3e} at "
                 f"n -> n + {gate['dn']}")
-    rows = [[t, float(n), float(r)]
-            for t, n, r in zip(times, front.norms, refined)]
     write_csv(os.path.join(outdir, "focksim.csv"),
-              ["t", "norm", "norm_refined"], rows)
+              {"t": times, "norm": front.norms, "norm_refined": refined})
     write_csv(os.path.join(outdir, "focksim_fit.csv"),
-              ["fitted_slope", "fit_residual_rel"],
-              [[front.fitted_slope, front.fit_residual_rel]])
+              {"fitted_slope": [front.fitted_slope],
+               "fit_residual_rel": [front.fit_residual_rel]})
     return EXIT_OK
 
 
@@ -502,19 +505,15 @@ def cmd_clustering(cfg: dict, outdir: str) -> int:
     cov = ground_covariance(lat, c)
     fit = clustering_fit(cov, cfg["mu"], cfg["epsilon"],
                          _build_perturbation(cfg["perturbation"]))
-    ds = [int(d) for d in fit.distances]
-    env = [float(fit.c_fit * np.exp(-d / fit.xi_theorem))
-           for d in fit.distances]
+    ds = fit.distances
+    env = fit.c_fit * np.exp(-ds / fit.xi_theorem)
     write_csv(os.path.join(outdir, "clustering.csv"),
-              ["d", "correlation", "envelope"],
-              [[d, float(v), e] for d, v, e in zip(ds, fit.covariances, env)])
+              {"d": ds, "correlation": fit.covariances, "envelope": env})
     write_csv(os.path.join(outdir, "clustering_fit.csv"),
-              ["fitted_xi", "xi_theorem", "c_fit", "dominated",
-               "nonpositive_seen"],
-              [[fit.fitted_xi, fit.xi_theorem, fit.c_fit,
-                int(fit.dominated), int(fit.nonpositive_seen)]])
-    series = [{"name": "|correlation|", "x": ds,
-               "y": [abs(float(v)) for v in fit.covariances]},
+              {"fitted_xi": [fit.fitted_xi], "xi_theorem": [fit.xi_theorem],
+               "c_fit": [fit.c_fit], "dominated": [int(fit.dominated)],
+               "nonpositive_seen": [int(fit.nonpositive_seen)]})
+    series = [{"name": "|correlation|", "x": ds, "y": np.abs(fit.covariances)},
               {"name": "envelope", "x": ds, "y": env}]
     write_svg(os.path.join(outdir, "clustering.svg"), series, "distance d",
               "|correlation|")
@@ -629,15 +628,15 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     checks.append(("gaussian_ground_state", abs(gexp - bexp), 1e-6))
 
     # err < tol passes; a zero tol bounds a signed excess, which passes at 0
-    rows = [[name, int(err <= 0.0 if tol == 0.0 else err < tol), float(err),
-             tol] for name, err, tol in checks]
+    names, errs, tols = zip(*checks)
+    passed = [int(e <= 0.0 if t == 0.0 else e < t) for e, t in zip(errs, tols)]
     write_csv(os.path.join(outdir, "verify.csv"),
-              ["check", "passed", "err", "tol"], rows)
-    width = max(len(name) for name, *_ in checks)
-    for name, passed, err, tol in rows:
-        print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  "
+              {"check": names, "passed": passed, "err": errs, "tol": tols})
+    width = max(map(len, names))
+    for name, ok, err, tol in zip(names, passed, errs, tols):
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  "
               f"err={err:.3e} tol={tol:.3e}")
-    if not all(passed for _, passed, *_ in rows):
+    if not all(passed):
         raise ConvergenceError("verification battery failed")
     return EXIT_OK
 

@@ -7,12 +7,13 @@ import pathlib
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticebounds import weyl
 from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                               main)
+                               main, write_csv)
 
 
 def scenario(tmp_path, name, payload):
@@ -59,6 +60,25 @@ def test_csv_values_round_trip_at_twelve_digits(tmp_path):
             assert f"{v:.12g}" == cell or str(v) == cell
 
 
+def test_write_csv_cell_contract(tmp_path):
+    # the header is the keys; a float column, of Python floats or float64,
+    # is written %.12g; integers and labels are written as text
+    floats = [0.1 + 0.2, 1e300, -0.0, float("nan"), float("inf")]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), {"py": floats, "np": np.array(floats),
+                          "n": [1, -2, 0, 10 ** 12, 7],
+                          "site": ["0 1", "-1 0", "2 2", "0 0", "1 1"]})
+    assert path.read_text() == ("py,np,n,site\n"
+                                "0.3,0.3,1,0 1\n"
+                                "1e+300,1e+300,-2,-1 0\n"
+                                "-0,-0,0,2 2\n"
+                                "nan,nan,1000000000000,0 0\n"
+                                "inf,inf,7,1 1\n")
+    # an empty table keeps its header (the lightcone no-crossing front)
+    write_csv(str(path), {"threshold": np.array([]), "r": []})
+    assert path.read_text() == "threshold,r\n"
+
+
 def test_svg_has_one_polyline_per_series(tmp_path):
     cfg = scenario(tmp_path, "c.json", CLUSTERING)
     out = tmp_path / "out"
@@ -93,6 +113,21 @@ def test_missing_config(tmp_path):
     assert main(["kernels", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == EXIT_VALIDATION
     assert main(["kernels", "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_deeply_nested_config_exits_1_with_one_line(tmp_path):
+    # json.load raises RecursionError, a RuntimeError, past the recursion
+    # limit; json.dump cannot write such a file, so it is written as text
+    path = tmp_path / "deep.json"
+    text = json.dumps(dict(KERNELS, lattice="DEEP"))
+    path.write_text(text.replace('"DEEP"', "[" * 5000 + "]" * 5000))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["kernels", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "cannot read scenario" in lines[0]
 
 
 def test_anharm_rejects_mu_below_one(tmp_path):

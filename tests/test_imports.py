@@ -20,3 +20,16 @@ def test_numpy_only_modules_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy():
+    # main sets the BLAS thread variables from --threads, which only take
+    # effect if numpy is first imported after that
+    code = ("import sys\n"
+            "import latticebounds.cli\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

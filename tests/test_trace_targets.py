@@ -81,3 +81,6 @@ def test_tracer_sees_the_cli_dispatch(tmp_path):
     want = {"cli.load_scenario", "cli.cmd_kernels", "cli.write_csv",
             "cli.write_svg"}
     assert want <= recorded, sorted(want - recorded)
+    # the counter reads write_csv's first positional argument as the path
+    assert tracer.counters["cli.write_csv.bytes"] == \
+        (tmp_path / "kernels.csv").stat().st_size
