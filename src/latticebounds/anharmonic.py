@@ -74,18 +74,28 @@ def kappa_V(p: PerturbationSpec) -> float:
 
 @dataclass(frozen=True)
 class AnharmonicBoundParams:
-    """mu >= 1 and epsilon > 0, plus the harmonic couplings."""
+    """mu >= 1 and epsilon > 0, plus the harmonic couplings, whose number
+    of bond couplings is the lattice dimension nu."""
 
     mu: float
     epsilon: float
     couplings: Couplings
-    nu: int
 
     def __post_init__(self):
         if self.mu < 1.0:
             raise ValueError("the perturbed bound requires mu >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+
+    @property
+    def nu(self) -> int:
+        return self.couplings.nu
+
+
+def _check_nu(b: AnharmonicBoundParams, lattice: TorusLattice | None):
+    if lattice is not None and lattice.nu != b.nu:
+        raise ValueError(f"the lattice has nu = {lattice.nu}, the couplings "
+                         f"nu = {b.nu}")
 
 
 def F_mu(mu: float, nu: int, r) -> np.ndarray:
@@ -95,32 +105,33 @@ def F_mu(mu: float, nu: int, r) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def lattice_power_sum(nu: int, lattice: TorusLattice | None = None,
-                      z_limit: bool = False) -> float:
-    """sum of (1 + |z|)^(-nu-1), over the torus by default, or over all of
-    Z^nu when z_limit is set."""
-    if z_limit:
-        return power_law_zeta(nu)
+def lattice_power_sum(nu: int, lattice: TorusLattice | None = None) -> float:
+    """sum of (1 + |z|)^(-nu-1) over the torus lattice, or over all of Z^nu
+    when lattice is None."""
     if lattice is None:
-        raise ValueError("need a lattice unless z_limit is set")
+        return power_law_zeta(nu)
     return float(np.sum((1.0 + lattice.abs_l1()) ** (-nu - 1.0)))
 
 
 def anharm_constants(b: AnharmonicBoundParams, p: PerturbationSpec,
-                     lattice: TorusLattice | None = None,
-                     z_limit: bool = False) -> tuple[float, float, float]:
+                     lattice: TorusLattice | None = None
+                     ) -> tuple[float, float, float]:
     """(C, C_nu, v) for the perturbed bound.
 
     C    = (2 + c_max e^((mu+eps)/2) + 1/c_max) * sup_{s>=0} (1+s)^(nu+1) e^(-eps s)
-    C_nu = 2^(nu+1) * sum (1 + |z|)^(-nu-1)  (torus sum, or Z^nu limit)
+    C_nu = 2^(nu+1) * sum (1 + |z|)^(-nu-1)  (over the torus lattice, or
+           over Z^nu when lattice is None)
     v    = v_h(mu+eps) + C C_nu kappa / (mu+eps)
+
+    A lattice whose nu is not that of the couplings raises ValueError.
     """
+    _check_nu(b, lattice)
     c = b.couplings
     me = b.mu + b.epsilon
     s_star = max(0.0, (b.nu + 1.0) / b.epsilon - 1.0)
     sup = (1.0 + s_star) ** (b.nu + 1) * np.exp(-b.epsilon * s_star)
     C = (2.0 + c.c_max * np.exp(me / 2.0) + 1.0 / c.c_max) * sup
-    Cnu = 2.0 ** (b.nu + 1) * lattice_power_sum(b.nu, lattice, z_limit)
+    Cnu = 2.0 ** (b.nu + 1) * lattice_power_sum(b.nu, lattice)
     kap = kappa_V(p)
     v = velocity(c, me) + C * Cnu * kap / me
     return float(C), float(Cnu), float(v)
@@ -135,11 +146,15 @@ def anharm_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
                         sum_{x in X, y in Y} F_mu(d(x,y))
            "corollary": Ctilde ||f|| ||g|| min(|X|,|Y|)
                         e^(-mu (d(X,Y) - (1 + eps/mu) v |t|))
+
+    The constants take the lattice sum over the torus of f, or over Z^nu
+    when z_limit is set.
     """
     if f.lattice != g.lattice:
         raise ValueError("lattice mismatch")
     lat = f.lattice
-    C, _, v = anharm_constants(b, p, lattice=lat, z_limit=z_limit)
+    _check_nu(b, lat)
+    C, _, v = anharm_constants(b, p, None if z_limit else lat)
     norms = f.sup_norm * g.sup_norm
     me = b.mu + b.epsilon
     if form == "theorem":

@@ -6,12 +6,15 @@ genbound, anharm, focksim, clustering) or the verification battery
 schema in SCHEMAS, the one typed reader: exact types (a float field takes
 a finite number, an int field never a bool or a float), required and
 unknown keys at every level, defaults filled in.  A config's lattice may
-have at most MAX_SITES sites.  Outputs are static SVG plots and CSV tables
+have at most MAX_SITES sites, and so may the tables that grow as the
+square of a config: genbound's n x n metric and the |X| x |Y| support
+pairs of commutator and anharm.  Outputs are static SVG plots and CSV tables
 (`write_csv`): floats as %.12g, integers and labels as text, and nan in
 the columns the README lists where a value does not apply.
 
 Only `main` maps failures to exit codes, each with one stderr line: 1
-(`error:`) for a usage error in the arguments, ScenarioError, ValueError,
+(`error:`) for a usage error in the arguments, ScenarioError, ValueError
+(among them a genbound decay weight e^(-a r) F(r) that underflows to 0),
 ZeroDivisionError and OSError (an unusable --out); 2
 (`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK) and
 numpy.linalg.LinAlgError.  Numerical imports wait until --threads has set
@@ -30,7 +33,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 SCHEMA_VERSION = 1
-MAX_SITES = 2 ** 20  # budget for the (2L)^nu sites of a config's lattice
+MAX_SITES = 2 ** 20  # budget for a config's lattice and its square tables
 
 
 class ScenarioError(Exception):
@@ -216,6 +219,13 @@ def _build_weyl(lat, entries: list):
         lat, [(e["site"], e["re"] + 1j * e["im"]) for e in entries])
 
 
+def _check_pair_budget(f, g):
+    pairs = len(f.support) * len(g.support)
+    if pairs > MAX_SITES:
+        raise ScenarioError(f"|X| |Y| = {pairs} support pairs exceeds the "
+                            f"budget of {MAX_SITES}")
+
+
 def _build_perturbation(cfg: dict | None):
     from .anharmonic import PerturbationSpec
     if cfg is None or cfg["type"] == "zero":
@@ -363,6 +373,7 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
     c = _build_couplings(cfg["couplings"], lat.nu)
     f = _build_weyl(lat, cfg["f"])
     g = _build_weyl(lat, cfg["g"])
+    _check_pair_budget(f, g)
     times, a = cfg["times"], cfg["a"]
     p = HarmonicBoundParams(cfg["mu"], c, a)
     r = support_distance(f, g)
@@ -429,6 +440,10 @@ def cmd_genbound(cfg: dict, outdir: str) -> int:
                             theorem_phi_bound)
     if (cfg["points"] is None) == (cfg["metric"] is None):
         raise ScenarioError("give exactly one of points and metric")
+    n = len(cfg["points"] or cfg["metric"])
+    if n * n > MAX_SITES:
+        raise ScenarioError(f"{n} sites: the {n} x {n} metric table exceeds "
+                            f"the budget of {MAX_SITES}")
     metric = (cfg["metric"] if cfg["points"] is None
               else l1_metric(cfg["points"]))
     G = InteractionGraph(metric, [(set(tc["sites"]), tc["norm"])
@@ -451,11 +466,12 @@ def cmd_anharm(cfg: dict, outdir: str) -> int:
     lat = _build_lattice(cfg["lattice"])
     c = _build_couplings(cfg["couplings"], lat.nu)
     pert = _build_perturbation(cfg["perturbation"])
-    b = AnharmonicBoundParams(cfg["mu"], cfg["epsilon"], c, lat.nu)
+    b = AnharmonicBoundParams(cfg["mu"], cfg["epsilon"], c)
     f = _build_weyl(lat, cfg["f"])
     g = _build_weyl(lat, cfg["g"])
+    _check_pair_budget(f, g)
     z_limit = cfg["z_limit"]
-    C, Cnu, v = anharm_constants(b, pert, lattice=lat, z_limit=z_limit)
+    C, Cnu, v = anharm_constants(b, pert, None if z_limit else lat)
     write_csv(os.path.join(outdir, "anharm_constants.csv"),
               {"kappa": [kappa_V(pert)], "C": [C], "C_nu": [Cnu], "v": [v]})
     forms, times = cfg["forms"], cfg["times"]
@@ -470,11 +486,11 @@ def cmd_anharm(cfg: dict, outdir: str) -> int:
 
 def cmd_focksim(cfg: dict, outdir: str) -> int:
     import numpy as np
-    from .focksim import build_system, commutator_front, truncation_gate
-    sys_ = build_system(cfg["n_sites"], cfg["trunc"],
-                        _build_couplings(cfg["couplings"], 1),
-                        geometry=cfg["geometry"],
-                        perturbation=_build_perturbation(cfg["perturbation"]))
+    from .focksim import FockSystem, commutator_front, truncation_gate
+    sys_ = FockSystem(cfg["n_sites"], cfg["trunc"],
+                      _build_couplings(cfg["couplings"], 1),
+                      geometry=cfg["geometry"],
+                      perturbation=_build_perturbation(cfg["perturbation"]))
     if len(cfg["f"]) != sys_.n_sites or len(cfg["g"]) != sys_.n_sites:
         raise ScenarioError("f and g must list one [re, im] pair per site")
     f, g = np.array(cfg["f"]), np.array(cfg["g"])
@@ -614,13 +630,13 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     gv2 = np.array([0.0, 0.9j])
     exact = commutator_norm_exact(WeylFunction(lat2, fv2),
                                   WeylFunction(lat2, gv2), 0.3, couplings=c)
-    brute2 = fsim.build_system(2, 16, c).commutator_norm(fv2, gv2, 0.3,
-                                                         n_low=4)
+    brute2 = fsim.FockSystem(2, 16, c).commutator_norm(fv2, gv2, 0.3,
+                                                       n_low=4)
     checks.append(("fock_oracle", abs(exact - brute2), 1e-2))
 
     # Gaussian ground state vs Fock ground state
     cov = ground_covariance(lat2, c)
-    sys30 = fsim.build_system(2, 30, c)
+    sys30 = fsim.FockSystem(2, 30, c)
     _, psi0 = sys30.ground_state()
     h = np.array([0.5 + 0.2j, 0.0])
     gexp = weyl_expectation(cov, WeylFunction(lat2, h))

@@ -103,14 +103,12 @@ def weyl_correlation(cov: GroundStateCovariance, f: WeylFunction,
 
 
 def xi_theorem(b: AnharmonicBoundParams, gap: float,
-               p: PerturbationSpec | None = None,
-               lattice: TorusLattice | None = None,
-               z_limit: bool = True) -> float:
-    """Correlation length (2(mu+eps) v(mu+eps) + gap) / (mu * gap)."""
+               p: PerturbationSpec | None = None) -> float:
+    """Correlation length (2(mu+eps) v(mu+eps) + gap) / (mu * gap), with
+    v from the Z^nu constants."""
     if gap <= 0:
         raise ValueError("the clustering length needs a positive gap")
-    _, _, v = anharm_constants(b, p or PerturbationSpec.zero(),
-                               lattice=lattice, z_limit=z_limit)
+    _, _, v = anharm_constants(b, p or PerturbationSpec.zero())
     me = b.mu + b.epsilon
     return float((2.0 * me * v + gap) / (b.mu * gap))
 
@@ -141,8 +139,7 @@ def clustering_fit(cov: GroundStateCovariance, mu: float, epsilon: float,
     lat = cov.lattice
     if lat.nu != 1:
         raise ValueError("the distance sweep is one-dimensional")
-    b = AnharmonicBoundParams(mu=mu, epsilon=epsilon, couplings=cov.couplings,
-                              nu=lat.nu)
+    b = AnharmonicBoundParams(mu=mu, epsilon=epsilon, couplings=cov.couplings)
     xi = xi_theorem(b, cov.gap, p)
     f = WeylFunction.delta(lat, (0,))
     ds = np.arange(1, lat.L + 1)

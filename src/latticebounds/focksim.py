@@ -30,7 +30,7 @@ from scipy.sparse.linalg import eigsh, expm_multiply
 from .torus import Couplings
 from .anharmonic import PerturbationSpec
 
-__all__ = ["FockSystem", "build_system", "evolve_observable",
+__all__ = ["FockSystem", "evolve_observable",
            "commutator_front", "truncation_gate", "ring_distance"]
 
 MAX_DENSE_DIM = 20736
@@ -182,11 +182,6 @@ class FockSystem:
             self._eig = np.linalg.eigh(self.hamiltonian().toarray())
         return self._eig
 
-    def eigenvalues(self, k: int | None = None) -> np.ndarray:
-        if k is None:
-            return self.eigensystem()[0]
-        return self.low_energy_basis(k)[0]
-
     def low_energy_basis(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k lowest energies, ascending, and orthonormal eigenvector
         columns for them (cached per k).  Above DENSE_EIG_DIM they come
@@ -236,12 +231,12 @@ class FockSystem:
             out = np.kron(out, m)
         return out
 
-    def apply_weyl(self, f_or_factors, v: np.ndarray,
-                   adjoint: bool = False) -> np.ndarray:
-        facs = (self.weyl_local_factors(f_or_factors)
-                if isinstance(f_or_factors, np.ndarray) else f_or_factors)
-        for x, m in enumerate(facs):
-            v = self._apply_one_site(m.conj().T if adjoint else m, x, v)
+    def apply_weyl(self, factors: list[np.ndarray],
+                   v: np.ndarray) -> np.ndarray:
+        """W(f) v, for W(f) given by its per-site factors
+        (weyl_local_factors)."""
+        for x, m in enumerate(factors):
+            v = self._apply_one_site(m, x, v)
         return v
 
     # -- dynamics --------------------------------------------------------
@@ -275,12 +270,6 @@ class FockSystem:
         return float(np.linalg.norm(a - self.apply_weyl(gf, b), 2))
 
 
-def build_system(n_sites: int, trunc: int, couplings: Couplings,
-                 geometry: str = "ring",
-                 perturbation: PerturbationSpec | None = None) -> FockSystem:
-    return FockSystem(n_sites, trunc, couplings, geometry, perturbation)
-
-
 def evolve_observable(sys: FockSystem, a: np.ndarray, t: float) -> np.ndarray:
     """Dense Heisenberg evolution e^{itH} A e^{-itH} via eigendecomposition."""
     a = np.asarray(a, dtype=complex)
@@ -295,7 +284,6 @@ def evolve_observable(sys: FockSystem, a: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass
 class FrontSeries:
-    tgrid: np.ndarray
     norms: np.ndarray
     fitted_slope: float
     fit_residual_rel: float
@@ -321,8 +309,7 @@ def commutator_front(sys: FockSystem, f: np.ndarray, g: np.ndarray,
                                                 1e-300))
     else:
         slope, rel = float("nan"), float("nan")
-    return FrontSeries(tgrid=tgrid, norms=norms, fitted_slope=slope,
-                       fit_residual_rel=rel)
+    return FrontSeries(norms=norms, fitted_slope=slope, fit_residual_rel=rel)
 
 
 def truncation_gate(sys: FockSystem, f: np.ndarray, g: np.ndarray,

@@ -32,18 +32,22 @@ class DecayFunction:
             raise ValueError("a must be >= 0")
 
     def f(self, r: float) -> float:
-        v = self.base(r)
-        if v <= 0:
-            raise ValueError(f"F({r}) = {v} is not positive")
-        return float(np.exp(-self.a * r) * v)
+        fa = float(np.exp(-self.a * r) * self.base(r))
+        if not fa > 0:
+            raise ValueError(f"F_a({r}) = {fa} is not positive")
+        return fa
 
     def table(self, d: np.ndarray) -> np.ndarray:
-        """F_a over an array of distances, with the same positivity check."""
-        v = np.broadcast_to(self.base(d), np.shape(d))
-        if np.any(v <= 0):
-            r = np.asarray(d)[v <= 0].flat[0]
-            raise ValueError(f"F({r}) = {self.base(r)} is not positive")
-        return np.exp(-self.a * d) * v
+        """F_a over an array of distances, with the same positivity check.
+        A value that underflows to 0 is refused too: it would turn the
+        convolution constant C_a into 0/0, and skipping it would
+        underestimate C_a."""
+        fa = np.exp(-self.a * d) * np.broadcast_to(self.base(d), np.shape(d))
+        bad = ~(fa > 0)
+        if np.any(bad):
+            raise ValueError(f"F_a({np.asarray(d)[bad].flat[0]}) = "
+                             f"{fa[bad].flat[0]} is not positive")
+        return fa
 
     def with_a(self, a: float) -> "DecayFunction":
         return DecayFunction(self.base, a)
@@ -63,7 +67,7 @@ def l1_metric(points) -> np.ndarray:
 class InteractionGraph:
     """Finite site list with a metric table and interaction term norms."""
 
-    def __init__(self, metric: np.ndarray, terms, check_metric: bool = True):
+    def __init__(self, metric: np.ndarray, terms):
         d = np.asarray(metric, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("metric must be a square table")
@@ -77,8 +81,7 @@ class InteractionGraph:
             if norm < 0:
                 raise ValueError("term norms must be >= 0")
             self.terms.append((Z, float(norm)))
-        if check_metric:
-            self._check_metric()
+        self._check_metric()
 
     def _check_metric(self):
         d = self.d
@@ -150,15 +153,16 @@ def phi_boundary_and_D(G: InteractionGraph, F: DecayFunction, X, Y):
     return bX, bY, float(min(s1, s2))
 
 
-def power_law_zeta(nu: int, rmax: int = 2000) -> float:
+def power_law_zeta(nu: int) -> float:
     """sum over x in Z^nu of (1 + |x|)^(-nu-1), |x| the l1 norm.
 
-    The l1 shell counts c_nu(r) are summed directly up to rmax; beyond that
-    c_nu(r) is an exact polynomial of degree nu-1, so the tail is evaluated
-    in closed form through Hurwitz zeta functions.
+    The l1 shell counts c_nu(r) are summed directly up to rmax = 2000;
+    beyond that c_nu(r) is an exact polynomial of degree nu-1, so the tail
+    is evaluated in closed form through Hurwitz zeta functions.
     """
     from scipy.special import zeta as hurwitz
 
+    rmax = 2000
     # the tail fit below needs its nu nodes at r >= nu
     if not 1 <= nu <= (rmax + 1) // 2:
         raise ValueError(f"nu must lie in 1..{(rmax + 1) // 2}")

@@ -31,23 +31,13 @@ from .torus import Couplings, TorusLattice, dispersion
 __all__ = ["KernelField", "EnvelopeParams", "compute_H", "compute_H_direct",
            "compute_h", "envelope", "velocity"]
 
-_KINDS = {"H0", "H1", "Hm1", "h1", "h2", "h01", "h02"}
-_M_TO_KIND = {0: "H0", 1: "H1", -1: "Hm1"}
-
 
 @dataclass(frozen=True)
 class KernelField:
     """One sampled kernel: complex values indexed by the site enumeration."""
 
     lattice: TorusLattice
-    couplings: Couplings
-    t: float
-    kind: str
     values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     def at(self, x) -> complex:
         return self.values[self.lattice.index(x)]
@@ -68,7 +58,7 @@ class EnvelopeParams:
 def _weights(lat: TorusLattice, c: Couplings, m: int, t: float) -> np.ndarray:
     """gamma(k)^m * exp(-2i gamma(k) t) over the dual grid; a zero mode
     (omega = 0) with m = -1 raises ZeroDivisionError."""
-    if m not in _M_TO_KIND:
+    if m not in (-1, 0, 1):
         raise ValueError("m must be one of -1, 0, 1")
     gam = np.atleast_1d(dispersion(c, lat.dual))
     if m == -1 and np.any(gam == 0.0):
@@ -94,7 +84,7 @@ def compute_H(lat: TorusLattice, c: Couplings, m: int, t: float) -> KernelField:
     """Real-valued base kernel H^(m) at time t (fast FFT path)."""
     s = lat.ifft(_weights(lat, c, m, t))
     vals = s.real if m == 0 else s.imag
-    return KernelField(lat, c, float(t), _M_TO_KIND[m], vals)
+    return KernelField(lat, vals)
 
 
 def compute_H_direct(lat: TorusLattice, c: Couplings, m: int, t: float,
@@ -104,7 +94,7 @@ def compute_H_direct(lat: TorusLattice, c: Couplings, m: int, t: float,
     vals = s.real if m == 0 else s.imag
     if site_index is not None:
         return float(vals)
-    return KernelField(lat, c, float(t), _M_TO_KIND[m], vals)
+    return KernelField(lat, vals)
 
 
 def _evolution_multipliers(lat: TorusLattice, c: Couplings, t: float,
@@ -133,9 +123,7 @@ def compute_h(lat: TorusLattice, c: Couplings, t: float,
     is missing there, ValueError if it is set for omega > 0).
     """
     w1, w2 = _evolution_multipliers(lat, c, t, zero_omega)
-    k1, k2 = ("h01", "h02") if zero_omega else ("h1", "h2")
-    return (KernelField(lat, c, float(t), k1, lat.ifft(w1)),
-            KernelField(lat, c, float(t), k2, lat.ifft(w2)))
+    return KernelField(lat, lat.ifft(w1)), KernelField(lat, lat.ifft(w2))
 
 
 def velocity(c: Couplings, mu: float) -> float:

@@ -14,8 +14,9 @@ from .kernels import velocity
 __all__ = ["FrontData", "mu_star", "optimal_velocity", "extract_front"]
 
 
-def mu_star(tol: float = 1e-12) -> float:
-    """Root mu0 of 2/mu = e^(mu/2 + 1), located by bisection on (1/2, 1).
+def mu_star() -> float:
+    """Root mu0 of 2/mu = e^(mu/2 + 1), located by bisection on (1/2, 1)
+    to a bracket of width 1e-12.
 
     The envelope velocity c_max * max(2/mu, e^(mu/2 + 1)) is minimal there,
     with value 2 c_max / mu0 <= 4 c_max.
@@ -26,7 +27,7 @@ def mu_star(tol: float = 1e-12) -> float:
     lo, hi = 0.5, 1.0
     if not (h(lo) > 0 > h(hi)):
         raise RuntimeError("bisection bracket lost")  # cannot happen
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if h(mid) > 0:
             lo = mid
@@ -54,8 +55,7 @@ class FrontData:
 
 
 def extract_front(tgrid: np.ndarray, rvalues, series: np.ndarray,
-                  threshold: float, r_min: int = 3,
-                  r_max: int | None = None) -> FrontData:
+                  threshold: float, r_max: int | None = None) -> FrontData:
     """Locate the light-cone front in a commutator table.
 
     series[i, j] is the commutator norm at time tgrid[i] and distance
@@ -65,13 +65,13 @@ def extract_front(tgrid: np.ndarray, rvalues, series: np.ndarray,
 
         t*(r) = r / v + b * r^(1/3) + c
 
-    over r_min <= r <= r_max.  The r^(1/3) term absorbs the precursor
+    over 3 <= r <= r_max.  The r^(1/3) term absorbs the precursor
     tail ahead of the ballistic front: below it the signal decays like
     exp(-const * r * (deficit)^(3/2)), so a fixed threshold is crossed
     early by an amount growing like r^(1/3).  Without that term the
     fitted slope drifts systematically with the threshold; with it the
     velocity is stable across thresholds spanning several decades.
-    r_min discards near-field transients, r_max (default: no cap)
+    r >= 3 discards near-field transients; r_max (default: no cap)
     should stay a couple of sites below the torus injectivity radius so
     wraparound does not contaminate the arrivals.
     """
@@ -98,7 +98,7 @@ def extract_front(tgrid: np.ndarray, rvalues, series: np.ndarray,
             arrivals[int(r)] = float(t0 + (threshold - v0) * (t1 - t0)
                                      / (v1 - v0))
     pts = [(t, r) for r, t in arrivals.items()
-           if r >= r_min and (r_max is None or r <= r_max)]
+           if r >= 3 and (r_max is None or r <= r_max)]
     if len(pts) >= 4:
         ts = np.array([p[0] for p in pts])
         rs = np.array([p[1] for p in pts], dtype=float)

@@ -28,24 +28,19 @@ __all__ = ["WeylFunction", "HarmonicBoundParams", "evolve",
 
 
 class WeylFunction:
-    """Complex field over the lattice with an explicitly recorded support."""
+    """Complex field over the lattice; its support is where it is nonzero."""
 
-    def __init__(self, lattice: TorusLattice, values: np.ndarray,
-                 support: frozenset[int] | None = None):
+    def __init__(self, lattice: TorusLattice, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
         if values.shape != (lattice.n_sites,):
             raise ValueError("values must be a flat array over all sites")
-        if support is None:
-            support = frozenset(np.nonzero(values)[0].tolist())
-        else:
-            support = frozenset(int(i) for i in support)
-            outside = np.ones(lattice.n_sites, dtype=bool)
-            outside[list(support)] = False
-            if np.any(values[outside] != 0):
-                raise ValueError("values must vanish outside the support")
         self.lattice = lattice
         self.values = values
-        self.support = support
+
+    @property
+    def support(self) -> np.ndarray:
+        """Ascending indices of the sites where the values are nonzero."""
+        return np.flatnonzero(self.values)
 
     @classmethod
     def from_sites(cls, lattice: TorusLattice, entries) -> "WeylFunction":
@@ -63,11 +58,8 @@ class WeylFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def conj(self) -> "WeylFunction":
-        return WeylFunction(self.lattice, np.conj(self.values), self.support)
-
     def support_sites(self) -> np.ndarray:
-        return self.lattice.sites[sorted(self.support)]
+        return self.lattice.sites[self.support]
 
 
 def _check_same_lattice(*objs):
@@ -87,14 +79,13 @@ def evolve(f: WeylFunction, t: float, couplings: Couplings,
            zero_omega: bool = False) -> WeylFunction:
     """Exact harmonic evolution f -> f_t under the given couplings.
 
-    zero_omega must be set exactly when omega = 0.  The result is
-    supported on the whole lattice.
+    zero_omega must be set exactly when omega = 0.
     """
     lat = f.lattice
     w1, w2 = _evolution_multipliers(lat, couplings, t, zero_omega)
     ft = lat.ifft(lat.fft(f.values) * np.conj(w1)
                   + lat.fft(np.conj(f.values)) * w2)
-    return WeylFunction(lat, ft, frozenset(range(lat.n_sites)))
+    return WeylFunction(lat, ft)
 
 
 def evolve_mode_space(f: WeylFunction, t: float, c: Couplings) -> WeylFunction:
@@ -124,8 +115,7 @@ def evolve_mode_space(f: WeylFunction, t: float, c: Couplings) -> WeylFunction:
     ihat_t = (ck + ck_neg_conj) / (np.sqrt(2.0) * np.sqrt(gam))
     re_t = np.conj(phase).T @ rhat_t / np.sqrt(n)
     im_t = np.conj(phase).T @ ihat_t / np.sqrt(n)
-    return WeylFunction(lat, re_t.real + 1j * im_t.real,
-                        frozenset(range(n)))
+    return WeylFunction(lat, re_t.real + 1j * im_t.real)
 
 
 def symplectic_form(f: WeylFunction, g: WeylFunction) -> float:

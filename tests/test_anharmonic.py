@@ -56,9 +56,23 @@ def test_spec_validation():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AnharmonicBoundParams(0.5, 1.0, C11, 1)
+        AnharmonicBoundParams(0.5, 1.0, C11)
     with pytest.raises(ValueError):
-        AnharmonicBoundParams(1.0, 0.0, C11, 1)
+        AnharmonicBoundParams(1.0, 0.0, C11)
+
+
+def test_nu_comes_from_the_couplings_and_must_match_the_lattice():
+    b = AnharmonicBoundParams(1.0, 1.0, C11)
+    assert b.nu == 1
+    lat2 = TorusLattice(2, 4)
+    p = PerturbationSpec.zero()
+    with pytest.raises(ValueError, match="nu"):
+        anharm_constants(b, p, lattice=lat2)
+    f = WeylFunction.delta(lat2, (0, 0))
+    g = WeylFunction.delta(lat2, (2, 1))
+    for z_limit in (False, True):
+        with pytest.raises(ValueError, match="nu"):
+            anharm_bound_rhs(f, g, 0.5, b, p, z_limit=z_limit)
 
 
 def test_F_mu_values():
@@ -69,7 +83,7 @@ def test_F_mu_values():
 
 
 def test_lattice_power_sum_monotone_to_the_infinite_limit():
-    limit = lattice_power_sum(1, z_limit=True)
+    limit = lattice_power_sum(1)
     assert limit == pytest.approx(2.0 * zeta(2.0, 1.0) - 1.0, rel=1e-12)
     prev = 0.0
     for L in (4, 8, 16, 64):
@@ -78,21 +92,19 @@ def test_lattice_power_sum_monotone_to_the_infinite_limit():
         prev = s
     # the missing tail is a couple of 1/L corrections at L = 64
     assert limit - prev < 2.0 / 64
-    with pytest.raises(ValueError):
-        lattice_power_sum(1)
 
 
 def test_constants_reduce_to_harmonic_when_kappa_vanishes():
-    b = AnharmonicBoundParams(1.0, 0.5, C11, 1)
-    C, Cnu, v = anharm_constants(b, PerturbationSpec.zero(), z_limit=True)
+    b = AnharmonicBoundParams(1.0, 0.5, C11)
+    C, Cnu, v = anharm_constants(b, PerturbationSpec.zero())
     assert v == pytest.approx(velocity(C11, 1.5))
     assert C > 0 and Cnu > 0
 
 
 def test_constants_formulas():
-    b = AnharmonicBoundParams(1.0, 1.0, C11, 1)
+    b = AnharmonicBoundParams(1.0, 1.0, C11)
     p = PerturbationSpec.cosine(0.2, 1.0)  # kappa = 0.2 exactly
-    C, Cnu, v = anharm_constants(b, p, z_limit=True)
+    C, Cnu, v = anharm_constants(b, p)
     s_star = 1.0  # (nu+1)/eps - 1 with nu = 1, eps = 1
     sup = 4.0 * np.exp(-1.0)
     c = C11.c_max
@@ -104,15 +116,15 @@ def test_constants_formulas():
 
 def test_sup_factor_is_one_for_large_epsilon():
     # eps >= nu + 1 puts the supremum at s = 0
-    b = AnharmonicBoundParams(1.0, 2.0, C11, 1)
-    C, _, _ = anharm_constants(b, PerturbationSpec.zero(), z_limit=True)
+    b = AnharmonicBoundParams(1.0, 2.0, C11)
+    C, _, _ = anharm_constants(b, PerturbationSpec.zero())
     c = C11.c_max
     assert C == pytest.approx(2.0 + c * np.exp(1.5) + 1.0 / c, rel=1e-12)
 
 
 def test_velocity_grows_with_kappa():
-    b = AnharmonicBoundParams(1.0, 1.0, C11, 1)
-    vs = [anharm_constants(b, PerturbationSpec.gaussian(a), z_limit=True)[2]
+    b = AnharmonicBoundParams(1.0, 1.0, C11)
+    vs = [anharm_constants(b, PerturbationSpec.gaussian(a))[2]
           for a in (0.0, 0.1, 0.5)]
     assert vs[0] < vs[1] < vs[2]
 
@@ -121,7 +133,7 @@ def test_bound_rhs_forms():
     lat = TorusLattice(1, 8)
     f = WeylFunction.delta(lat, (0,))
     g = WeylFunction.delta(lat, (5,))
-    b = AnharmonicBoundParams(1.0, 1.0, C11, 1)
+    b = AnharmonicBoundParams(1.0, 1.0, C11)
     p = PerturbationSpec.gaussian(0.3)
     C, _, v = anharm_constants(b, p, lattice=lat)
     th = anharm_bound_rhs(f, g, 0.4, b, p)
@@ -144,7 +156,7 @@ def test_bound_rhs_forms():
 def test_bound_rhs_against_brute_pair_loop():
     lat = TorusLattice(2, 4)
     c = Couplings(0.8, (1.0, 0.5))
-    b = AnharmonicBoundParams(1.2, 0.7, c, 2)
+    b = AnharmonicBoundParams(1.2, 0.7, c)
     p = PerturbationSpec.cosine(0.2, 1.5)
     C, _, v = anharm_constants(b, p, lattice=lat)
     me = b.mu + b.epsilon
@@ -173,7 +185,7 @@ def test_bound_rhs_scales_with_sup_norms():
     lat = TorusLattice(1, 8)
     f = WeylFunction.from_sites(lat, [((0,), 2.0)])
     g = WeylFunction.from_sites(lat, [((4,), 0.5 + 0.5j)])
-    b = AnharmonicBoundParams(1.0, 1.0, C11, 1)
+    b = AnharmonicBoundParams(1.0, 1.0, C11)
     p = PerturbationSpec.zero()
     one = anharm_bound_rhs(WeylFunction.delta(lat, (0,)),
                            WeylFunction.delta(lat, (4,)), 0.3, b, p)

@@ -5,7 +5,7 @@ from latticebounds.anharmonic import AnharmonicBoundParams
 from latticebounds.clustering import (clustering_fit, ground_covariance,
                                       weyl_correlation, weyl_expectation,
                                       xi_theorem)
-from latticebounds.focksim import build_system
+from latticebounds.focksim import FockSystem
 from latticebounds.torus import Couplings, TorusLattice
 from latticebounds.weyl import WeylFunction
 
@@ -49,7 +49,7 @@ def test_expectation_against_fock_ground_state():
     c = Couplings(1.0, (1.0,))
     lat = TorusLattice(1, 1)
     cov = ground_covariance(lat, c)
-    sys = build_system(2, 30, c)
+    sys = FockSystem(2, 30, c)
     _, gs = sys.ground_state()
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -65,7 +65,7 @@ def test_correlation_against_fock_ground_state():
     c = Couplings(1.0, (1.0,))
     lat = TorusLattice(1, 1)
     cov = ground_covariance(lat, c)
-    sys = build_system(2, 30, c)
+    sys = FockSystem(2, 30, c)
     _, gs = sys.ground_state()
     f = WeylFunction(lat, np.array([0.6 - 0.3j, 0.0]))
     g = WeylFunction(lat, np.array([0.0, -0.2 + 0.8j]))
@@ -81,7 +81,7 @@ def test_qq_covariance_against_four_site_ring():
     c = Couplings(1.0, (1.0,))
     lat = TorusLattice(1, 2)
     cov = ground_covariance(lat, c)
-    sys = build_system(4, 12, c)
+    sys = FockSystem(4, 12, c)
     _, gs = sys.ground_state()
     v = sys._apply_one_site(sys.q1, 1, sys._apply_one_site(sys.q1, 0, gs))
     fock = (gs.conj() @ v).real
@@ -168,8 +168,8 @@ def test_lattice_mismatch_is_rejected():
 def test_xi_theorem_shrinks_with_the_gap():
     c_small = Couplings(1.0, (1.0,))
     c_large = Couplings(3.0, (1.0,))
-    b1 = AnharmonicBoundParams(1.0, 1.0, c_small, 1)
-    b2 = AnharmonicBoundParams(1.0, 1.0, c_large, 1)
+    b1 = AnharmonicBoundParams(1.0, 1.0, c_small)
+    b2 = AnharmonicBoundParams(1.0, 1.0, c_large)
     # same velocity scale comparison: a larger gap can only help
     xi1 = xi_theorem(b1, 2.0 * c_small.omega)
     xi2 = xi_theorem(b1, 2.0 * c_large.omega)

@@ -3,9 +3,9 @@ import pytest
 
 from latticebounds import focksim
 from latticebounds.anharmonic import PerturbationSpec
-from latticebounds.focksim import (FockSystem, build_system,
-                                   commutator_front, evolve_observable,
-                                   ring_distance, truncation_gate)
+from latticebounds.focksim import (FockSystem, commutator_front,
+                                   evolve_observable, ring_distance,
+                                   truncation_gate)
 from latticebounds.torus import Couplings, TorusLattice
 from latticebounds.weyl import WeylFunction, commutator_norm_exact
 
@@ -14,49 +14,49 @@ C11 = Couplings(1.0, (1.0,))
 
 def test_single_site_spectrum_is_harmonic_ladder():
     # H = p^2 + w^2 q^2 has levels w (2m + 1)
-    sys = build_system(1, 40, Couplings(1.3, (0.0,)))
-    w = sys.eigenvalues(6)
+    sys = FockSystem(1, 40, Couplings(1.3, (0.0,)))
+    w = sys.low_energy_basis(6)[0]
     assert np.allclose(w, 1.3 * (2 * np.arange(6) + 1), atol=1e-10)
 
 
 def test_two_site_ring_spectrum():
     # a 2-ring carries two bonds; normal modes w and sqrt(w^2 + 4 lam)
-    sys = build_system(2, 24, C11)
+    sys = FockSystem(2, 24, C11)
     g1, g2 = 1.0, np.sqrt(5.0)
     expect = sorted(g1 * (2 * m + 1) + g2 * (2 * k + 1)
                     for m in range(4) for k in range(4))[:6]
-    assert np.allclose(sys.eigenvalues(6), expect, atol=1e-8)
+    assert np.allclose(sys.low_energy_basis(6)[0], expect, atol=1e-8)
 
 
 def test_chain_spectrum_matches_dense_stiffness_modes():
-    sys = build_system(3, 12, C11, geometry="chain")
+    sys = FockSystem(3, 12, C11, geometry="chain")
     K = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 2.0]])
     gam = np.sqrt(np.linalg.eigvalsh(K))
-    assert sys.eigenvalues(1)[0] == pytest.approx(np.sum(gam), abs=2e-6)
+    assert sys.ground_state()[0] == pytest.approx(np.sum(gam), abs=2e-6)
 
 
 def test_zero_perturbation_leaves_hamiltonian_unchanged():
-    plain = build_system(2, 8, C11)
-    pert = build_system(2, 8, C11, perturbation=PerturbationSpec.zero())
+    plain = FockSystem(2, 8, C11)
+    pert = FockSystem(2, 8, C11, perturbation=PerturbationSpec.zero())
     assert np.array_equal(plain.hamiltonian().toarray(),
                           pert.hamiltonian().toarray())
-    gauss0 = build_system(2, 8, C11,
-                          perturbation=PerturbationSpec.gaussian(0.0))
+    gauss0 = FockSystem(2, 8, C11,
+                        perturbation=PerturbationSpec.gaussian(0.0))
     assert np.allclose(plain.hamiltonian().toarray(),
                        gauss0.hamiltonian().toarray(), atol=1e-14)
 
 
 def test_perturbed_assemblies_are_hermitian():
     for tag in ("site", "site_p", "bond"):
-        sys = build_system(2, 8, C11,
-                           perturbation=PerturbationSpec.gaussian(0.4, tag))
+        sys = FockSystem(2, 8, C11,
+                         perturbation=PerturbationSpec.gaussian(0.4, tag))
         h = sys.hamiltonian().toarray()
         assert np.allclose(h, h.conj().T, atol=1e-12)
 
 
 def test_ccr_residual_on_bulk_states():
     # [q, p] = i away from the truncation edge
-    sys = build_system(1, 30, C11)
+    sys = FockSystem(1, 30, C11)
     comm = sys.q1 @ sys.p1 - sys.p1 @ sys.q1
     bulk = comm[: 28, : 28]
     assert np.max(np.abs(bulk - 1j * np.eye(28))) < 1e-10
@@ -99,7 +99,7 @@ def test_hamiltonian_matches_matrix_free_application():
     rng = np.random.default_rng(0)
     for geometry in ("ring", "chain"):
         for tag in ("site", "site_p", "bond"):
-            sys = build_system(
+            sys = FockSystem(
                 3, 5, Couplings(1.0, (0.7,)), geometry=geometry,
                 perturbation=PerturbationSpec.gaussian(0.3, tag))
             ref = _kron_hamiltonian(sys)
@@ -112,7 +112,7 @@ def test_hamiltonian_matches_matrix_free_application():
 def test_even_potentials_give_a_real_hamiltonian(tag):
     for pert in (PerturbationSpec.gaussian(0.3, tag),
                  PerturbationSpec.cosine(0.2, 1.5, tag)):
-        sys = build_system(3, 6, C11, perturbation=pert)
+        sys = FockSystem(3, 6, C11, perturbation=pert)
         assert sys.hamiltonian().dtype == np.float64
 
 
@@ -122,7 +122,7 @@ ODD_P = PerturbationSpec(kappa=0.3, potential=lambda p: 0.3 * np.sin(p),
 
 
 def test_odd_momentum_potential_keeps_a_complex_hermitian_hamiltonian():
-    sys = build_system(3, 6, C11, perturbation=ODD_P)
+    sys = FockSystem(3, 6, C11, perturbation=ODD_P)
     h = sys.hamiltonian().toarray()
     assert np.iscomplexobj(h) and np.max(np.abs(h.imag)) > 1e-3
     assert np.allclose(h, h.conj().T, atol=1e-12)
@@ -130,20 +130,19 @@ def test_odd_momentum_potential_keeps_a_complex_hermitian_hamiltonian():
 
 
 def test_weyl_matrix_is_unitary_and_factorizes():
-    sys = build_system(2, 12, C11)
+    sys = FockSystem(2, 12, C11)
     f = np.array([0.7 - 0.2j, 0.1 + 0.4j])
     w = sys.weyl_matrix(f)
     assert np.allclose(w @ w.conj().T, np.eye(sys.dim), atol=1e-12)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-    assert np.allclose(sys.apply_weyl(f, v), w @ v, atol=1e-12)
-    assert np.allclose(sys.apply_weyl(f, v, adjoint=True),
-                       w.conj().T @ v, atol=1e-12)
+    assert np.allclose(sys.apply_weyl(sys.weyl_local_factors(f), v), w @ v,
+                       atol=1e-12)
 
 
 def test_propagation_is_unitary_and_reverses():
-    sys = build_system(2, 10, C11,
-                       perturbation=PerturbationSpec.gaussian(0.2))
+    sys = FockSystem(2, 10, C11,
+                     perturbation=PerturbationSpec.gaussian(0.2))
     rng = np.random.default_rng(2)
     v = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
     vt = sys.propagate(v, 0.7)
@@ -152,7 +151,7 @@ def test_propagation_is_unitary_and_reverses():
 
 
 def test_evolve_observable_identity_and_norm():
-    sys = build_system(2, 8, C11)
+    sys = FockSystem(2, 8, C11)
     a = sys.weyl_matrix(np.array([1.0 + 0.5j, 0.0]))
     assert np.allclose(evolve_observable(sys, a, 0.0), a, atol=1e-12)
     at = evolve_observable(sys, a, 0.9)
@@ -166,7 +165,7 @@ def test_evolve_observable_identity_and_norm():
 def test_commutator_norm_against_the_heisenberg_picture(pert):
     # dim 216: the dense [e^{itH} W_f e^{-itH}, W_g] restricted to the
     # low-energy basis, against the propagated column blocks
-    sys = build_system(3, 6, C11, perturbation=pert)
+    sys = FockSystem(3, 6, C11, perturbation=pert)
     f = np.array([0.6 - 0.3j, 0.0, 0.0])
     g = np.array([0.0, 0.2 + 0.5j, 0.0])
     wf, wg = sys.weyl_matrix(f), sys.weyl_matrix(g)
@@ -188,7 +187,7 @@ def test_commutator_norm_matches_exact_weyl_dynamics():
     exact = commutator_norm_exact(f, g, t, couplings=C11)
     errs = []
     for n in (12, 16, 20, 24):
-        sys = build_system(2, n, C11)
+        sys = FockSystem(2, n, C11)
         got = sys.commutator_norm(np.array([1.0, 0.0]),
                                   np.array([0.0, 1.0]), t, n_low=4)
         errs.append(abs(got - exact))
@@ -198,7 +197,7 @@ def test_commutator_norm_matches_exact_weyl_dynamics():
 
 def test_commutator_front_short_time_is_linear():
     # momentum-momentum pairing on adjacent sites grows linearly in t
-    sys = build_system(3, 8, C11, geometry="chain")
+    sys = FockSystem(3, 8, C11, geometry="chain")
     tgrid = np.array([0.0, 0.01, 0.02, 0.035, 0.05])
     fr = commutator_front(sys, np.array([1j, 0.0, 0.0]),
                           np.array([0.0, 1j, 0.0]), tgrid, n_low=4)
@@ -208,14 +207,14 @@ def test_commutator_front_short_time_is_linear():
 
 
 def test_commutator_front_rejects_overlapping_supports():
-    sys = build_system(2, 6, C11)
+    sys = FockSystem(2, 6, C11)
     with pytest.raises(ValueError):
         commutator_front(sys, np.array([1.0, 0.0]), np.array([1.0, 1.0]),
                          [0.1])
 
 
 def test_truncation_gate_passes_when_converged():
-    sys = build_system(2, 20, C11)
+    sys = FockSystem(2, 20, C11)
     f = np.array([1.0, 0.0])
     g = np.array([0.0, 1.0])
     norms = commutator_front(sys, f, g, [0.1, 0.3], n_low=4).norms
@@ -226,7 +225,7 @@ def test_truncation_gate_passes_when_converged():
 
 
 def test_truncation_gate_fails_for_tiny_bases():
-    sys = build_system(2, 3, C11)
+    sys = FockSystem(2, 3, C11)
     f = np.array([1.0, 0.0])
     g = np.array([0.0, 1.0])
     norms = commutator_front(sys, f, g, [0.5], n_low=2).norms
@@ -244,7 +243,7 @@ G3 = np.array([0.0, 0.5 - 0.04j, 0.0])
                          ids=["real", "complex"])
 def test_matrix_free_basis_is_orthonormal(monkeypatch, pert):
     # levels 2 and 3 of a symmetric ring are degenerate (the k = +-1 pair)
-    sys = build_system(3, 8, RING3, perturbation=pert)
+    sys = FockSystem(3, 8, RING3, perturbation=pert)
     monkeypatch.setattr(focksim, "DENSE_EIG_DIM", sys.dim - 1)
     w, b = sys.low_energy_basis(4)
     assert np.max(np.abs(b.conj().T @ b - np.eye(4))) < 1e-12
@@ -254,10 +253,10 @@ def test_matrix_free_basis_is_orthonormal(monkeypatch, pert):
 @pytest.mark.parametrize("tag", ["site", "site_p", "bond"])
 def test_matrix_free_norms_match_the_dense_path(monkeypatch, tag):
     pert = PerturbationSpec.gaussian(0.2, tag)
-    dense = build_system(3, 8, RING3, perturbation=pert)
+    dense = FockSystem(3, 8, RING3, perturbation=pert)
     ref = [dense.commutator_norm(F3, G3, t, n_low=4) for t in (0.05, 0.1)]
     monkeypatch.setattr(focksim, "DENSE_EIG_DIM", dense.dim - 1)
-    free = build_system(3, 8, RING3, perturbation=pert)
+    free = FockSystem(3, 8, RING3, perturbation=pert)
     got = [free.commutator_norm(F3, G3, t, n_low=4) for t in (0.05, 0.1)]
     assert free._eig is None  # the dense path never ran
     assert np.allclose(got, ref, rtol=1e-9, atol=0)
@@ -265,15 +264,15 @@ def test_matrix_free_norms_match_the_dense_path(monkeypatch, tag):
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        build_system(5, 8, C11)
+        FockSystem(5, 8, C11)
     with pytest.raises(ValueError):
-        build_system(2, 2, C11)
+        FockSystem(2, 2, C11)
     with pytest.raises(ValueError):
-        build_system(2, 8, C11, geometry="star")
+        FockSystem(2, 8, C11, geometry="star")
     with pytest.raises(ValueError):
-        build_system(2, 8, Couplings(1.0, (1.0, 1.0)))
+        FockSystem(2, 8, Couplings(1.0, (1.0, 1.0)))
     with pytest.raises(ValueError):
-        build_system(4, 13, C11)  # 13^4 > dense-feasibility cap
+        FockSystem(4, 13, C11)  # 13^4 > dense-feasibility cap
 
 
 def test_ring_distance():
@@ -283,7 +282,7 @@ def test_ring_distance():
 
 
 def test_low_energy_basis_needs_one_vector():
-    sys = build_system(2, 4, C11)
+    sys = FockSystem(2, 4, C11)
     for k in (0, -1):
         with pytest.raises(ValueError):
             sys.low_energy_basis(k)
@@ -291,6 +290,6 @@ def test_low_energy_basis_needs_one_vector():
 
 def test_hermiticity_check_holds_at_every_scale():
     # the absolute allclose check failed on round-off at this scale
-    sys = build_system(2, 6, C11,
-                       perturbation=PerturbationSpec.gaussian(1e300))
+    sys = FockSystem(2, 6, C11,
+                     perturbation=PerturbationSpec.gaussian(1e300))
     assert sys.dim == 36

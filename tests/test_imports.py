@@ -1,3 +1,4 @@
+import importlib
 import os
 import pathlib
 import subprocess
@@ -33,3 +34,11 @@ def test_cli_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    for path in sorted((SRC / "latticebounds").glob("*.py")):
+        module = importlib.import_module(f"latticebounds.{path.stem}")
+        stale = [n for n in getattr(module, "__all__", ())
+                 if not hasattr(module, n)]
+        assert not stale, (path.stem, stale)

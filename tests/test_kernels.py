@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from latticebounds.kernels import (EnvelopeParams, KernelField, compute_H,
+from latticebounds.kernels import (EnvelopeParams, compute_H,
                                    compute_H_direct, compute_h, envelope,
                                    velocity)
 from latticebounds.torus import Couplings, TorusLattice
@@ -143,7 +143,6 @@ def test_zero_omega_kernels_at_time_zero():
     expect[lat.index((0,))] = 1.0
     assert np.allclose(h1.values, expect, atol=1e-13)
     assert np.max(np.abs(h2.values)) < 1e-13
-    assert (h1.kind, h2.kind) == ("h01", "h02")
 
 
 def test_zero_omega_kernel_mean_values():
@@ -167,12 +166,10 @@ def test_gapped_h_kernels_match_base_combination():
     assert np.allclose(h2.values, 0.5j * (H1 - Hm1), atol=1e-13)
 
 
-def test_kernel_field_site_lookup_and_kind_check():
+def test_kernel_field_site_lookup():
     lat = TorusLattice(1, 4)
     f = compute_H(lat, C11, 0, 0.3)
     assert f.at((2,)) == f.values[lat.index((2,))]
-    with pytest.raises(ValueError):
-        KernelField(lat, C11, 0.0, "bogus", np.zeros(lat.n_sites))
 
 
 def test_envelope_params_validation():

@@ -44,7 +44,7 @@ def test_tracer_records_every_fock_layer_and_uninstalls(monkeypatch):
         f = np.array([0.4, 0.0, 0.0])
         g = np.array([0.0, 0.4j, 0.0])
         # module attributes, which the tracer wraps
-        dense = focksim.build_system(3, 4, c)
+        dense = focksim.FockSystem(3, 4, c)
         dense.apply_h(np.ones(dense.dim))
         front = focksim.commutator_front(dense, f, g, [0.1], n_low=4)
         monkeypatch.setattr(focksim, "DENSE_EIG_DIM", 10)

@@ -44,14 +44,15 @@ def classical_flow_evolve(lat, c, f, t):
     return re + 1j * im
 
 
-def test_constructor_validates_support():
+def test_support_is_derived_from_the_values():
     vals = np.zeros(LAT.n_sites, dtype=complex)
-    vals[3] = 1.0
+    vals[[5, 3]] = 1.0, -2j
     with pytest.raises(ValueError):
-        WeylFunction(LAT, vals, support=frozenset({5}))
+        WeylFunction(LAT, vals[:-1])
     f = WeylFunction(LAT, vals)
-    assert f.support == frozenset({3})
-    assert f.sup_norm == 1.0
+    assert f.support.tolist() == [3, 5]
+    assert np.array_equal(f.support_sites(), LAT.sites[[3, 5]])
+    assert f.sup_norm == 2.0
 
 
 def test_evolution_is_identity_at_time_zero():
