@@ -15,7 +15,8 @@ import numpy as np
 
 from .torus import Couplings, TorusLattice
 from .kernels import velocity
-from .weyl import WeylFunction, _pair_distances, support_distance
+from .weyl import WeylFunction, _check_same_lattice, _pair_distances, \
+    support_distance
 from .genbounds import power_law_zeta
 
 __all__ = ["PerturbationSpec", "AnharmonicBoundParams", "kappa_V",
@@ -137,10 +138,11 @@ def anharm_constants(b: AnharmonicBoundParams, p: PerturbationSpec,
     return float(C), float(Cnu), float(v)
 
 
-def anharm_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
+def anharm_bound_rhs(f: WeylFunction, g: WeylFunction, t,
                      b: AnharmonicBoundParams, p: PerturbationSpec,
-                     form: str = "theorem", z_limit: bool = False) -> float:
-    """Commutator bound for the perturbed dynamics.
+                     form: str = "theorem",
+                     z_limit: bool = False) -> float | np.ndarray:
+    """Commutator bound for the perturbed dynamics, at a time or a 1-D grid.
 
     form = "theorem":   C ||f|| ||g|| e^((mu+eps) v |t|)
                         sum_{x in X, y in Y} F_mu(d(x,y))
@@ -150,21 +152,21 @@ def anharm_bound_rhs(f: WeylFunction, g: WeylFunction, t: float,
     The constants take the lattice sum over the torus of f, or over Z^nu
     when z_limit is set.
     """
-    if f.lattice != g.lattice:
-        raise ValueError("lattice mismatch")
-    lat = f.lattice
+    lat = _check_same_lattice(f, g)
     _check_nu(b, lat)
     C, _, v = anharm_constants(b, p, None if z_limit else lat)
     norms = f.sup_norm * g.sup_norm
     me = b.mu + b.epsilon
+    at = np.abs(np.asarray(t, dtype=float))
     if form == "theorem":
         pair = np.sum(F_mu(b.mu, b.nu, _pair_distances(f, g)))
-        return float(C * norms * np.exp(me * v * abs(t)) * pair)
-    if form == "corollary":
+        out = C * norms * np.exp(me * v * at) * pair
+    elif form == "corollary":
         Ct = C * power_law_zeta(b.nu)
         dxy = support_distance(f, g)
         size = min(len(f.support), len(g.support))
-        return float(Ct * norms * size
-                     * np.exp(-b.mu * (dxy - (1.0 + b.epsilon / b.mu)
-                                       * v * abs(t))))
-    raise ValueError(f"unknown form {form!r}")
+        out = (Ct * norms * size
+               * np.exp(-b.mu * (dxy - (1.0 + b.epsilon / b.mu) * v * at)))
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return float(out) if out.ndim == 0 else out

@@ -317,31 +317,32 @@ def write_svg(path: str, series: list[dict], xlabel: str, ylabel: str,
 
 def cmd_kernels(cfg: dict, outdir: str) -> int:
     import numpy as np
-    from .kernels import EnvelopeParams, compute_H, envelope
+    from .kernels import EnvelopeParams, _time_blocks, compute_H, envelope
     lat = _build_lattice(cfg["lattice"])
     c = _build_couplings(cfg["couplings"], lat.nu)
     ms, times = cfg["m"], cfg["times"]
     env = None if cfg["mu"] is None else EnvelopeParams(cfg["mu"], c)
     dist = lat.abs_l1()
     rvals = list(range(int(np.max(dist)) + 1))
-    prof = np.zeros((len(ms), len(times), len(rvals)))
+    order = np.argsort(dist, kind="stable")  # sites grouped by distance
+    starts = np.searchsorted(dist[order], rvals)
+    # max |H^(m)| at each distance, reduced one block of times at a time
+    prof = np.array([_time_blocks(lat, times, lambda tb: np.maximum.reduceat(
+        np.abs(compute_H(lat, c, m, tb).values)[:, order], starts, axis=1))
+        for m in ms])
     envs, series = [], []
     for i, m in enumerate(ms):
-        for j, t in enumerate(times):
-            np.maximum.at(prof[i, j], dist,
-                          np.abs(compute_H(lat, c, m, t).values))
-            series.append({"name": f"|H^({m})| t={t:g}", "x": rvals,
-                           "y": prof[i, j].tolist()})
-            if env is not None:
-                envs.append(envelope(env, m, t, rvals))
-        if env is not None:  # the envelope at the last time
+        series += [{"name": f"|H^({m})| t={t:g}", "x": rvals, "y": y}
+                   for t, y in zip(times, prof[i].tolist())]
+        if env is not None:  # drawn at the last time
+            envs.append(envelope(env, m, times, rvals))
             series.append({"name": f"envelope m={m} t={times[-1]:g}",
-                           "x": rvals, "y": envs[-1].tolist()})
+                           "x": rvals, "y": envs[-1][-1].tolist()})
     m_col, t_col, r_col = np.meshgrid(ms, times, rvals, indexing="ij")
     columns = {"m": m_col.ravel(), "t": t_col.ravel(), "r": r_col.ravel(),
                "max_abs_value": prof.ravel()}
     if env is not None:
-        columns["envelope"] = np.concatenate(envs)
+        columns["envelope"] = np.ravel(envs)
     write_csv(os.path.join(outdir, "kernels.csv"), columns)
     write_svg(os.path.join(outdir, "kernels.svg"), series, "distance r",
               "max |H^(m)(t,x)| at distance r")
@@ -350,15 +351,14 @@ def cmd_kernels(cfg: dict, outdir: str) -> int:
 
 def cmd_evolve(cfg: dict, outdir: str) -> int:
     import numpy as np
-    from .weyl import evolve
+    from .weyl import _evolved
     lat = _build_lattice(cfg["lattice"])
     c = _build_couplings(cfg["couplings"], lat.nu)
     if cfg["zero_omega"] != (c.omega == 0.0):
         raise ScenarioError("zero_omega must be set exactly when omega = 0")
     f = _build_weyl(lat, cfg["f"])
     times = cfg["times"]
-    values = np.stack([evolve(f, t, couplings=c, zero_omega=cfg["zero_omega"])
-                       .values for t in times])
+    values = _evolved(f, times, c, cfg["zero_omega"])
     labels = [" ".join(map(str, x)) for x in lat.sites.tolist()]
     write_csv(os.path.join(outdir, "evolve.csv"),
               {"t": np.repeat(times, lat.n_sites), "site": labels * len(times),
@@ -377,10 +377,10 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
     times, a = cfg["times"], cfg["a"]
     p = HarmonicBoundParams(cfg["mu"], c, a)
     r = support_distance(f, g)
-    exact = [commutator_norm_exact(f, g, t, couplings=c) for t in times]
-    thm = [harmonic_bound_rhs(f, g, t, p, form="theorem") for t in times]
-    cor = [harmonic_bound_rhs(f, g, t, p, form="corollary")
-           if a is not None else float("nan") for t in times]
+    exact = commutator_norm_exact(f, g, times, couplings=c)
+    thm = harmonic_bound_rhs(f, g, times, p, form="theorem")
+    cor = (harmonic_bound_rhs(f, g, times, p, form="corollary")
+           if a is not None else [float("nan")] * len(times))
     write_csv(os.path.join(outdir, "commutator.csv"),
               {"t": times, "r": [r] * len(times), "exact_norm": exact,
                "bound_theorem": thm, "bound_corollary": cor})
@@ -399,23 +399,23 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
 
 def cmd_lightcone(cfg: dict, outdir: str) -> int:
     import numpy as np
-    from .kernels import compute_H
-    from .lightcone import extract_front, mu_star, optimal_velocity
+    from .kernels import compute_H, velocity
+    from .lightcone import extract_front, mu_star
     lat = _build_lattice(cfg["lattice"])
     if lat.nu != 1:
         raise ScenarioError("the front sweep is one-dimensional")
     c = _build_couplings(cfg["couplings"], lat.nu)
     times = cfg["times"]
-    rvals = list(range(1, lat.L + 1))
-    idx = [lat.index((r,)) for r in rvals]
+    rvals = list(range(1, lat.L + 1))  # the last L sites, in order
     # for delta arguments the commutator norm is 2|sin(Hm1(t,r)/2)|:
-    # one kernel evaluation per time covers every distance
-    table = np.array([2.0 * np.abs(np.sin(
-        compute_H(lat, c, -1, t).values[idx] / 2.0)) for t in times])
+    # one kernel evaluation over the time grid covers every distance
+    hm1 = compute_H(lat, c, -1, times).values[:, -lat.L:]
+    table = 2.0 * np.abs(np.sin(hm1 / 2.0))
     write_csv(os.path.join(outdir, "lightcone.csv"),
               {"t": np.repeat(times, len(rvals)),
                "r": np.tile(rvals, len(times)), "norm": table.ravel()})
-    vb = optimal_velocity(c)
+    mu0 = mu_star()
+    vb = velocity(c, mu0)
     fronts = [extract_front(times, rvals, table, th, r_max=lat.L - 2)
               for th in cfg["thresholds"]]
     n = [len(fr.arrivals) for fr in fronts]  # keyed in the order of rvals
@@ -431,12 +431,12 @@ def cmd_lightcone(cfg: dict, outdir: str) -> int:
                "y": rvals} for fr in fronts]
     write_svg(os.path.join(outdir, "front.svg"), series, "arrival time",
               "distance r", logy=False)
-    print(f"mu0 = {mu_star():.12g}, velocity bound = {vb:.12g}")
+    print(f"mu0 = {mu0:.12g}, velocity bound = {vb:.12g}")
     return EXIT_OK
 
 
 def cmd_genbound(cfg: dict, outdir: str) -> int:
-    from .genbounds import (DecayFunction, InteractionGraph, l1_metric,
+    from .genbounds import (InteractionGraph, l1_metric, power_law,
                             theorem_phi_bound)
     if (cfg["points"] is None) == (cfg["metric"] is None):
         raise ScenarioError("give exactly one of points and metric")
@@ -448,15 +448,14 @@ def cmd_genbound(cfg: dict, outdir: str) -> int:
               else l1_metric(cfg["points"]))
     G = InteractionGraph(metric, [(set(tc["sites"]), tc["norm"])
                                   for tc in cfg["terms"]])
-    p = cfg["decay"]["exponent"]
-    F = DecayFunction(lambda r: (1.0 + r) ** (-p), cfg["decay"]["a"])
+    F = power_law(cfg["decay"]["exponent"]).with_a(cfg["decay"]["a"])
     forms, times = cfg["forms"], cfg["times"]
     write_csv(os.path.join(outdir, "genbound.csv"), {
         "form": [form for form in forms for _ in times],
         "t": times * len(forms),
-        "bound": [theorem_phi_bound(G, F, cfg["X"], cfg["Y"], cfg["normA"],
-                                    cfg["normB"], t, form=form, nu=cfg["nu"])
-                  for form in forms for t in times]})
+        "bound": [b for form in forms for b in theorem_phi_bound(
+            G, F, cfg["X"], cfg["Y"], cfg["normA"], cfg["normB"], times,
+            form=form, nu=cfg["nu"])]})
     return EXIT_OK
 
 
@@ -478,9 +477,8 @@ def cmd_anharm(cfg: dict, outdir: str) -> int:
     write_csv(os.path.join(outdir, "anharm.csv"), {
         "form": [form for form in forms for _ in times],
         "t": times * len(forms),
-        "bound": [anharm_bound_rhs(f, g, t, b, pert, form=form,
-                                   z_limit=z_limit)
-                  for form in forms for t in times]})
+        "bound": [v for form in forms for v in anharm_bound_rhs(
+            f, g, times, b, pert, form=form, z_limit=z_limit)]})
     return EXIT_OK
 
 
@@ -550,8 +548,8 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
                        commutator_norm_exact, evolve, evolve_mode_space,
                        harmonic_bound_rhs)
     from .lightcone import mu_star
-    from .genbounds import (DecayFunction, InteractionGraph, decay_constants,
-                            l1_metric)
+    from .genbounds import (InteractionGraph, decay_constants, l1_metric,
+                            power_law)
     from .anharmonic import PerturbationSpec, kappa_V
     from .clustering import ground_covariance, weyl_expectation
     from . import focksim as fsim
@@ -562,11 +560,9 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     # kernel envelope domination on a coarse grid
     e = EnvelopeParams(1.0, c)
     dist = lat.distances_from(np.zeros(1, dtype=int))
-    worst = -np.inf
-    for m in (-1, 0, 1):
-        for t in (0.0, 0.5, 1.0):
-            vals = np.abs(compute_H(lat, c, m, t).values)
-            worst = max(worst, float(np.max(vals - envelope(e, m, t, dist))))
+    ts = [0.0, 0.5, 1.0]
+    worst = max(float(np.max(np.abs(compute_H(lat, c, m, ts).values)
+                             - envelope(e, m, ts, dist))) for m in (-1, 0, 1))
     checks.append(("kernel_envelopes", worst, 0.0))
 
     # fast vs direct kernels
@@ -610,7 +606,7 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     cells = rng.choice(81, size=6, replace=False)
     pts = np.stack([cells // 9 - 4, cells % 9 - 4], axis=1)
     G = InteractionGraph(l1_metric(pts), [({0, 1}, 1.0), ({2, 3}, 0.5)])
-    F = DecayFunction(lambda r: (1.0 + r) ** -3, 0.2)
+    F = power_law(3).with_a(0.2)
     normF, ca = decay_constants(G, F)
     brute = max(sum(F.f(G.d[x, y]) for y in range(G.n)) for x in range(G.n))
     checks.append(("decay_constants",

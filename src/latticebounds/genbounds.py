@@ -8,7 +8,6 @@ as (subset, norm) pairs; no operators are represented here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -183,9 +182,10 @@ def power_law_zeta(nu: int) -> float:
 
 
 def theorem_phi_bound(G: InteractionGraph, F: DecayFunction, X, Y,
-                      normA: float, normB: float, t: float,
-                      form: str = "theorem", nu: int | None = None) -> float:
-    """General bound for bounded interactions.
+                      normA: float, normB: float, t,
+                      form: str = "theorem",
+                      nu: int | None = None) -> float | np.ndarray:
+    """General bound for bounded interactions, at a time or a 1-D grid.
 
     form = "theorem":   (2 ||A|| ||B|| / C_a) g_a(t) D_a(X,Y) with
                         g_a(t) = e^(2 ||Phi||_a C_a |t|) - 1 if d(X,Y) > 0,
@@ -202,36 +202,35 @@ def theorem_phi_bound(G: InteractionGraph, F: DecayFunction, X, Y,
             raise ValueError(f"{name} must be a nonempty subset of the sites "
                              f"0..{G.n - 1}")
     dxy = G.set_distance(X, Y)
+    at = np.abs(np.asarray(t, dtype=float))
+    if form in ("lrexp", "corollary"):
+        nb = min(len(phi_boundary(G, X)), len(phi_boundary(G, Y)))
+    if form in ("theorem", "corollary"):
+        _, ca = decay_constants(G, F)
+        if ca == 0:
+            raise ValueError("degenerate graph: C_a = 0")
+        phia = interaction_norm(G, F)
     if form == "lrexp":
         if nu is None:
             raise ValueError("lrexp form requires nu")
         if F.a <= 0:
             raise ValueError("lrexp form requires a > 0")
-        Fpow = DecayFunction(lambda r: (1.0 + r) ** (-nu - 1), F.a)
-        phia = interaction_norm(G, Fpow)
+        phia = interaction_norm(G, power_law(nu + 1).with_a(F.a))
         Cbig = 2.0 ** (nu + 1) * power_law_zeta(nu)
-        bX = phi_boundary(G, X)
-        bY = phi_boundary(G, Y)
-        return float(2.0 ** (-(nu + 1)) * normA * normB
-                     * min(len(bX), len(bY))
-                     * np.exp(-(F.a * dxy - 2.0 * phia * Cbig * abs(t))))
-    _, ca = decay_constants(G, F)
-    if ca == 0:
-        raise ValueError("degenerate graph: C_a = 0")
-    phia = interaction_norm(G, F)
-    if form == "theorem":
-        ga = np.exp(2.0 * phia * ca * abs(t))
+        out = (2.0 ** (-(nu + 1)) * normA * normB * nb
+               * np.exp(-(F.a * dxy - 2.0 * phia * Cbig * at)))
+    elif form == "theorem":
+        ga = np.exp(2.0 * phia * ca * at)
         if dxy > 0:
             ga -= 1.0
         _, _, da = phi_boundary_and_D(G, F, X, Y)
-        return float(2.0 * normA * normB / ca * ga * da)
-    if form == "corollary":
+        out = 2.0 * normA * normB / ca * ga * da
+    elif form == "corollary":
         if F.a <= 0:
             raise ValueError("corollary form requires a > 0")
         normF0, _ = decay_constants(G, F.with_a(0.0))
-        bX = phi_boundary(G, X)
-        bY = phi_boundary(G, Y)
-        return float(2.0 * normA * normB * normF0 / ca
-                     * min(len(bX), len(bY))
-                     * np.exp(-F.a * (dxy - 2.0 * phia * ca / F.a * abs(t))))
-    raise ValueError(f"unknown form {form!r}")
+        out = (2.0 * normA * normB * normF0 / ca * nb
+               * np.exp(-F.a * (dxy - 2.0 * phia * ca / F.a * at)))
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return float(out) if out.ndim == 0 else out

@@ -1,5 +1,5 @@
 """Empirical propagation fronts from exact commutator data, and the
-optimal envelope rate mu0 with its velocity.
+optimal envelope rate mu0 (its velocity is `kernels.velocity(c, mu0)`).
 """
 
 from __future__ import annotations
@@ -8,10 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus import Couplings
-from .kernels import velocity
-
-__all__ = ["FrontData", "mu_star", "optimal_velocity", "extract_front"]
+__all__ = ["FrontData", "mu_star", "extract_front"]
 
 
 def mu_star() -> float:
@@ -36,11 +33,6 @@ def mu_star() -> float:
     mu0 = 0.5 * (lo + hi)
     assert 0.5 < mu0 < 1.0
     return mu0
-
-
-def optimal_velocity(c: Couplings) -> float:
-    """v_h(mu0) = 2 c_max / mu0; never exceeds 4 c_max."""
-    return velocity(c, mu_star())
 
 
 @dataclass

@@ -4,14 +4,14 @@ The lattice is the cube (-L, L]^nu of integer points with periodic boundary
 conditions; its dual momentum grid is {x*pi/L : x in lattice}, contained in
 (-pi, pi]^nu.  Every other module indexes fields through the single site
 enumeration defined here, and reaches the lattice Fourier transform only
-through `TorusLattice.fft`/`ifft`, which map site-ordered fields to
-dual-ordered coefficients and back.
+through `TorusLattice.fft`/`ifft`, which map site-ordered fields (last
+axis; leading axes are a batch) to dual-ordered coefficients and back.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,20 +131,24 @@ class TorusLattice:
         return np.ravel_multi_index(tuple(pos.T), self._shape)
 
     def to_grid(self, values: np.ndarray) -> np.ndarray:
-        """Reshape a flat site-indexed array onto the FFT grid (x mod 2L)."""
-        return values[self._grid_site].reshape(self._shape)
+        """Reshape site-indexed values onto the FFT grid (x mod 2L)."""
+        return values.take(self._grid_site, axis=-1).reshape(
+            values.shape[:-1] + self._shape)
 
     def from_grid(self, grid: np.ndarray) -> np.ndarray:
         """Inverse of to_grid."""
-        return grid.reshape(-1)[self._grid_pos]
+        flat = grid.reshape(*grid.shape[:-self.nu], -1)
+        return flat.take(self._grid_pos, axis=-1)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """sum_x exp(-i k.x) v_x for every dual point k, in site order."""
-        return self.from_grid(np.fft.fftn(self.to_grid(values)))
+        return self.from_grid(np.fft.fftn(self.to_grid(values), s=self._shape,
+                                          axes=range(-self.nu, 0)))
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """(1/N) sum_k exp(i k.x) c_k for every site x, in site order."""
-        return self.from_grid(np.fft.ifftn(self.to_grid(coeffs)))
+        return self.from_grid(np.fft.ifftn(self.to_grid(coeffs), s=self._shape,
+                                           axes=range(-self.nu, 0)))
 
     def __eq__(self, other):
         return (isinstance(other, TorusLattice)

@@ -27,8 +27,8 @@ from latticebounds.genbounds import (DecayFunction, InteractionGraph,
                                      l1_metric, phi_boundary,
                                      phi_boundary_and_D, theorem_phi_bound)
 from latticebounds.kernels import (EnvelopeParams, compute_H,
-                                   compute_H_direct, envelope)
-from latticebounds.lightcone import extract_front, mu_star, optimal_velocity
+                                   compute_H_direct, envelope, velocity)
+from latticebounds.lightcone import extract_front, mu_star
 from latticebounds.torus import Couplings, TorusLattice
 from latticebounds.weyl import (HarmonicBoundParams, WeylFunction,
                                 commutator_norm_exact, evolve,
@@ -179,7 +179,7 @@ def test_05_velocity_and_lightcone():
                               r_max=lat.L - 2).fitted_velocity
             for th in (1e-2, 1e-3, 1e-4)}
     spread = (max(vels.values()) - min(vels.values())) / min(vels.values())
-    vb = optimal_velocity(c)
+    vb = velocity(c, mu_star())
     ok = (0.5 < mu0 < 1.0
           and abs(2.0 / mu0 - np.exp(mu0 / 2.0 + 1.0)) < 1e-10
           and vels[1e-3] <= vb <= 4.0 * c.c_max

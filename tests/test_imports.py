@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pathlib
@@ -42,3 +43,26 @@ def test_every_exported_name_resolves():
         stale = [n for n in getattr(module, "__all__", ())
                  if not hasattr(module, n)]
         assert not stale, (path.stem, stale)
+
+
+def _module_imports(tree):
+    """Names bound by the module-level imports of tree, but __future__'s."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_unused_module_imports():
+    unused = {}
+    for path in sorted((SRC / "latticebounds").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        names = sorted(set(_module_imports(tree)) - read)
+        if names:
+            unused[path.stem] = names
+    assert not unused

@@ -170,6 +170,8 @@ def test_kernel_field_site_lookup():
     lat = TorusLattice(1, 4)
     f = compute_H(lat, C11, 0, 0.3)
     assert f.at((2,)) == f.values[lat.index((2,))]
+    grid = compute_H(lat, C11, 0, [0.0, 0.3])
+    assert np.array_equal(grid.at((2,)), grid.values[:, lat.index((2,))])
 
 
 def test_envelope_params_validation():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from latticebounds.kernels import compute_H, velocity
-from latticebounds.lightcone import (FrontData, extract_front, mu_star,
-                                     optimal_velocity)
+from latticebounds.lightcone import FrontData, extract_front, mu_star
 from latticebounds.torus import Couplings, TorusLattice
 
 
@@ -23,7 +22,7 @@ def test_mu_star_bracket_signs():
 def test_optimal_velocity_never_exceeds_four_cmax():
     for c in (Couplings(1.0, (1.0,)), Couplings(0.1, (2.0,)),
               Couplings(2.0, (0.0,))):
-        v = optimal_velocity(c)
+        v = velocity(c, mu_star())
         assert v == pytest.approx(2.0 * c.c_max / mu_star())
         assert v <= 4.0 * c.c_max
 
@@ -80,7 +79,7 @@ def test_measured_front_stays_below_velocity_bound():
                           r_max=lat.L - 2)
     arrivals = [front.arrivals[r] for r in sorted(front.arrivals)]
     assert all(b >= a - 1e-9 for a, b in zip(arrivals, arrivals[1:]))
-    assert 0 < front.fitted_velocity <= optimal_velocity(c)
+    assert 0 < front.fitted_velocity <= velocity(c, mu_star())
 
 
 def test_front_velocity_is_threshold_robust():
@@ -96,4 +95,4 @@ def test_front_velocity_is_threshold_robust():
             for th in (1e-2, 1e-3, 1e-4)]
     spread = (max(vels) - min(vels)) / min(vels)
     assert spread < 0.10
-    assert max(vels) <= optimal_velocity(c)
+    assert max(vels) <= velocity(c, mu_star())

@@ -157,3 +157,15 @@ def test_fft_and_ifft_are_the_lattice_fourier_sums(nu, L):
     assert np.max(np.abs(lat.ifft(v) - phase.T @ v / n)) < 1e-12
     assert np.max(np.abs(lat.ifft(lat.fft(v)) - v)) < 1e-13
     assert np.max(np.abs(lat.fft(lat.ifft(v)) - v)) < 1e-13
+
+
+@pytest.mark.parametrize("nu,L", [(1, 4), (2, 3), (3, 2)])
+def test_fft_and_ifft_batch_leading_axes_bitwise(nu, L):
+    lat = TorusLattice(nu, L)
+    rng = np.random.default_rng(10 + nu)
+    v = (rng.standard_normal((2, 3, lat.n_sites))
+         + 1j * rng.standard_normal((2, 3, lat.n_sites)))
+    for transform in (lat.fft, lat.ifft):
+        rows = np.array([[transform(r) for r in block] for block in v])
+        assert np.array_equal(transform(v), rows)
+    assert np.array_equal(lat.from_grid(lat.to_grid(v)), v)
