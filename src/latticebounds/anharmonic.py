@@ -14,9 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .torus import Couplings, TorusLattice
-from .kernels import velocity
-from .weyl import WeylFunction, _check_same_lattice, _pair_distances, \
-    support_distance
+from .kernels import _exp_bound, velocity
+from .weyl import WeylFunction, _check_same_lattice, _pair_histogram
 from .genbounds import power_law_zeta
 
 __all__ = ["PerturbationSpec", "AnharmonicBoundParams", "kappa_V",
@@ -124,17 +123,24 @@ def anharm_constants(b: AnharmonicBoundParams, p: PerturbationSpec,
            over Z^nu when lattice is None)
     v    = v_h(mu+eps) + C C_nu kappa / (mu+eps)
 
-    A lattice whose nu is not that of the couplings raises ValueError.
+    A lattice whose nu is not that of the couplings raises ValueError, and
+    so does a C or v that does not fit in a float.
     """
     _check_nu(b, lattice)
     c = b.couplings
     me = b.mu + b.epsilon
     s_star = max(0.0, (b.nu + 1.0) / b.epsilon - 1.0)
-    sup = (1.0 + s_star) ** (b.nu + 1) * np.exp(-b.epsilon * s_star)
-    C = (2.0 + c.c_max * np.exp(me / 2.0) + 1.0 / c.c_max) * sup
     Cnu = 2.0 ** (b.nu + 1) * lattice_power_sum(b.nu, lattice)
     kap = kappa_V(p)
-    v = velocity(c, me) + C * Cnu * kap / me
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a float64 power overflows to inf where a Python float one raises
+        sup = (np.float64(1.0 + s_star) ** (b.nu + 1)
+               * np.exp(-b.epsilon * s_star))
+        C = (2.0 + c.c_max * np.exp(me / 2.0) + 1.0 / c.c_max) * sup
+        v = velocity(c, me) + C * Cnu * kap / me
+    if not (np.isfinite(C) and np.isfinite(v)):
+        raise ValueError(f"anharm_constants: C = {C:g} and v = {v:g} do not "
+                         "both fit in a float")
     return float(C), float(Cnu), float(v)
 
 
@@ -155,18 +161,14 @@ def anharm_bound_rhs(f: WeylFunction, g: WeylFunction, t,
     lat = _check_same_lattice(f, g)
     _check_nu(b, lat)
     C, _, v = anharm_constants(b, p, None if z_limit else lat)
-    norms = f.sup_norm * g.sup_norm
-    me = b.mu + b.epsilon
-    at = np.abs(np.asarray(t, dtype=float))
-    if form == "theorem":
-        pair = np.sum(F_mu(b.mu, b.nu, _pair_distances(f, g)))
-        out = C * norms * np.exp(me * v * at) * pair
+    r, n = _pair_histogram(f, g)
+    K, log_c = f.sup_norm * g.sup_norm, np.log(C)
+    if form == "theorem":  # log C F_mu(r)
+        log_phi = log_c - b.mu * r - (b.nu + 1) * np.log1p(r)
     elif form == "corollary":
-        Ct = C * power_law_zeta(b.nu)
-        dxy = support_distance(f, g)
-        size = min(len(f.support), len(g.support))
-        out = (Ct * norms * size
-               * np.exp(-b.mu * (dxy - (1.0 + b.epsilon / b.mu) * v * at)))
+        K *= power_law_zeta(b.nu) * min(len(f.support), len(g.support))
+        log_phi, n = log_c - b.mu * r[0], None
     else:
         raise ValueError(f"unknown form {form!r}")
-    return float(out) if out.ndim == 0 else out
+    return _exp_bound(f"anharm_bound_rhs {form}", t, K,
+                      (b.mu + b.epsilon) * v, log_phi, n)

@@ -14,7 +14,8 @@ the columns the README lists where a value does not apply.
 
 Only `main` maps failures to exit codes, each with one stderr line: 1
 (`error:`) for a usage error in the arguments, ScenarioError, ValueError
-(among them a genbound decay weight e^(-a r) F(r) that underflows to 0),
+(among them a genbound decay weight e^(-a r) F(r) that underflows to 0,
+and a bound, velocity or constant that does not fit in a float),
 ZeroDivisionError and OSError (an unusable --out); 2
 (`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK) and
 numpy.linalg.LinAlgError.  Numerical imports wait until --threads has set
@@ -264,7 +265,7 @@ def write_svg(path: str, series: list[dict], xlabel: str, ylabel: str,
     if not series:
         raise ScenarioError(f"refusing to write empty plot to {path}")
     W, H, ml, mr, mt, mb = 800, 500, 70, 160, 30, 50
-    # non-finite points (an overflowed bound, an unreached r) are not drawn
+    # non-finite points (an unreached r) are not drawn
     xs_all = [x for s in series for x in s["x"] if math.isfinite(x)] or [0.0]
     ys_all = [max(abs(y), floor) for s in series for y in s["y"]
               if math.isfinite(y)] or [floor]
@@ -391,7 +392,7 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
     # exact norms are drawn down to 1/100 of the smallest theorem bound:
     # far below it they say nothing about the bound, and near 1e-16 they
     # are round-off whose log-axis position changes with summation order
-    low = min([b for b in thm if 0.0 < b < float("inf")], default=0.0)
+    low = min([b for b in thm if b > 0.0], default=0.0)
     write_svg(os.path.join(outdir, "commutator.svg"), series, "t",
               "commutator norm", floor=max(1e-2 * low, 1e-18))
     return EXIT_OK

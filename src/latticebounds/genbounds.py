@@ -147,9 +147,9 @@ def phi_boundary_and_D(G: InteractionGraph, F: DecayFunction, X, Y):
     Y = frozenset(int(i) for i in Y)
     bX = phi_boundary(G, X)
     bY = phi_boundary(G, Y)
-    s1 = sum(F.f(G.d[x, y]) for x in bX for y in Y)
-    s2 = sum(F.f(G.d[x, y]) for x in X for y in bY)
-    return bX, bY, float(min(s1, s2))
+    s1, s2 = (float(np.sum(F.table(G.d[np.ix_(sorted(A), sorted(B))])))
+              for A, B in ((bX, Y), (X, bY)))
+    return bX, bY, min(s1, s2)
 
 
 def power_law_zeta(nu: int) -> float:
@@ -195,6 +195,7 @@ def theorem_phi_bound(G: InteractionGraph, F: DecayFunction, X, Y,
            "lrexp":     specialization to F(r) = (1+r)^(-nu-1) on Z^nu with
                         its convolution constant C = 2^(nu+1) * zeta sum.
     """
+    from .kernels import _exp_bound
     X = frozenset(int(i) for i in X)
     Y = frozenset(int(i) for i in Y)
     for name, S in (("X", X), ("Y", Y)):
@@ -202,35 +203,31 @@ def theorem_phi_bound(G: InteractionGraph, F: DecayFunction, X, Y,
             raise ValueError(f"{name} must be a nonempty subset of the sites "
                              f"0..{G.n - 1}")
     dxy = G.set_distance(X, Y)
-    at = np.abs(np.asarray(t, dtype=float))
     if form in ("lrexp", "corollary"):
+        if F.a <= 0:
+            raise ValueError(f"{form} form requires a > 0")
         nb = min(len(phi_boundary(G, X)), len(phi_boundary(G, Y)))
     if form in ("theorem", "corollary"):
         _, ca = decay_constants(G, F)
         if ca == 0:
             raise ValueError("degenerate graph: C_a = 0")
-        phia = interaction_norm(G, F)
+        rate = 2.0 * interaction_norm(G, F) * ca
+    log_phi, log_g = -F.a * dxy, None
     if form == "lrexp":
         if nu is None:
             raise ValueError("lrexp form requires nu")
-        if F.a <= 0:
-            raise ValueError("lrexp form requires a > 0")
-        phia = interaction_norm(G, power_law(nu + 1).with_a(F.a))
-        Cbig = 2.0 ** (nu + 1) * power_law_zeta(nu)
-        out = (2.0 ** (-(nu + 1)) * normA * normB * nb
-               * np.exp(-(F.a * dxy - 2.0 * phia * Cbig * at)))
-    elif form == "theorem":
-        ga = np.exp(2.0 * phia * ca * at)
-        if dxy > 0:
-            ga -= 1.0
-        _, _, da = phi_boundary_and_D(G, F, X, Y)
-        out = 2.0 * normA * normB / ca * ga * da
+        K = 2.0 ** (-(nu + 1)) * normA * normB * nb
+        rate = (2.0 * interaction_norm(G, power_law(nu + 1).with_a(F.a))
+                * 2.0 ** (nu + 1) * power_law_zeta(nu))
+    elif form == "theorem":  # the pair sum D_a is part of K
+        K = 2.0 * normA * normB / ca * phi_boundary_and_D(G, F, X, Y)[2]
+        log_phi = 0.0
+        if dxy > 0:  # e^(rate |t|) - 1 = e^(rate |t|) (1 - e^(-rate |t|))
+            log_g = lambda at: np.log(-np.expm1(-rate * at))
     elif form == "corollary":
-        if F.a <= 0:
-            raise ValueError("corollary form requires a > 0")
         normF0, _ = decay_constants(G, F.with_a(0.0))
-        out = (2.0 * normA * normB * normF0 / ca * nb
-               * np.exp(-F.a * (dxy - 2.0 * phia * ca / F.a * at)))
+        K = 2.0 * normA * normB * normF0 / ca * nb
     else:
         raise ValueError(f"unknown form {form!r}")
-    return float(out) if out.ndim == 0 else out
+    return _exp_bound(f"theorem_phi_bound {form}", t, K, rate, log_phi,
+                      log_g=log_g)

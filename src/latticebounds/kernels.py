@@ -134,27 +134,61 @@ def compute_h(lat: TorusLattice, c: Couplings, t,
 
 
 def velocity(c: Couplings, mu: float) -> float:
-    """Propagation speed of the envelopes: c_max * max(2/mu, e^(mu/2 + 1))."""
+    """Propagation speed of the envelopes: c_max * max(2/mu, e^(mu/2 + 1)).
+    A speed that does not fit in a float raises ValueError."""
     if mu <= 0:
         raise ValueError("mu must be positive")
-    return c.c_max * max(2.0 / mu, np.exp(mu / 2.0 + 1.0))
+    with np.errstate(over="ignore"):
+        v = c.c_max * max(2.0 / mu, np.exp(mu / 2.0 + 1.0))
+    if not np.isfinite(v):
+        raise ValueError(f"velocity: c_max e^(mu/2 + 1) at mu = {mu:g} does "
+                         "not fit in a float")
+    return v
+
+
+def _exp_bound(name: str, t, K: float, rate: float, log_phi, n=None,
+               log_g=None) -> float | np.ndarray:
+    """K sum_r n_r phi(r) e^(rate |t|) g(|t|) at a time or a 1-D grid, as
+    K exp(log S + rate |t| + log g(|t|)) with log S a log-sum-exp over the
+    values log phi(r), which carry any factor that may leave the float range
+    on its own.  The finite prefactor K multiplies the one exp, so values
+    below the normal float range round as in the product form.  Without n,
+    log_phi is not summed but becomes the last axis.  A result that does
+    not fit in a float raises ValueError."""
+    at = np.abs(np.asarray(t, dtype=float))
+    # log g(0) = -inf (t^(2d), e^x - 1) gives exp(-inf) = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n is not None:
+            top = np.max(log_phi)
+            log_phi = top + np.log(np.sum(n * np.exp(log_phi - top)))
+        x = np.add.outer(rate * at, log_phi)
+        if log_g is not None:
+            x += log_g(at)
+        out = K * np.exp(x)
+    bad = ~np.isfinite(out).reshape(at.shape + (-1,)).all(axis=-1)
+    if np.any(bad):
+        raise ValueError(f"{name}: the bound at t = "
+                         f"{np.asarray(t, float)[bad].flat[0]:g} does not fit "
+                         "in a float")
+    return float(out) if out.ndim == 0 else out
 
 
 def envelope(e: EnvelopeParams, m: int, t, r) -> float | np.ndarray:
-    """Exponential envelope dominating |H^(m)(t, x)| at torus distance r.
+    """Exponential envelope pref e^(-mu (r - v |t|)) dominating
+    |H^(m)(t, x)| at torus distance r.
 
     Prefactor 1, c_max * e^(mu/2), or 1/c_max for m = 0, 1, -1.
     """
-    c = e.couplings
+    c, mu = e.couplings, e.mu
     if m == 0:
         pref = 1.0
     elif m == 1:
-        pref = c.c_max * np.exp(e.mu / 2.0)
+        # rounded on its own, as in the product pref * e^(-mu (r - v|t|)),
+        # which values below the normal float range then follow
+        pref = _exp_bound("envelope", 0.0, c.c_max, 0.0, mu / 2.0)
     elif m == -1:
         pref = 1.0 / c.c_max
     else:
         raise ValueError("m must be one of -1, 0, 1")
-    # v|t| - r with the times leading; mu (v|t| - r) = -mu (r - v|t|) exactly
-    vt = velocity(c, e.mu) * np.abs(t)
-    out = pref * np.exp(e.mu * np.subtract.outer(vt, np.asarray(r, float)))
-    return float(out) if out.ndim == 0 else out
+    return _exp_bound("envelope", t, pref, mu * velocity(c, mu),
+                      -mu * np.asarray(r, dtype=float))

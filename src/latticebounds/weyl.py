@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .torus import Couplings, TorusLattice, dispersion
-from .kernels import _evolution_multipliers, _time_blocks, velocity
+from .kernels import _evolution_multipliers, _exp_bound, _time_blocks, \
+    velocity
 
 __all__ = ["WeylFunction", "HarmonicBoundParams", "evolve",
            "evolve_mode_space", "symplectic_form", "commutator_norm_exact",
@@ -172,15 +173,21 @@ def geometric_lattice_sum(b: float, nu: int) -> float:
     return float(((1.0 + q) / (1.0 - q)) ** nu)
 
 
-def _pair_distances(f: WeylFunction, g: WeylFunction) -> np.ndarray:
-    """Torus distances d(x, y) over the support pairs, shape (|X|, |Y|)."""
+def _pair_histogram(f: WeylFunction, g: WeylFunction):
+    """Ascending torus distances r of the support pairs of f and g, and the
+    number of pairs at each; r[0] is d(X, Y)."""
     lat = _check_same_lattice(f, g)
-    return lat.distance(f.support_sites()[:, None], g.support_sites()[None])
+    d = lat.distance(f.support_sites()[:, None], g.support_sites()[None])
+    if d.size == 0:
+        raise ValueError("f and g need nonempty supports")
+    n = np.bincount(d.ravel())
+    r = np.flatnonzero(n)
+    return r, n[r]
 
 
 def support_distance(f: WeylFunction, g: WeylFunction) -> int:
     """d(X, Y) = min over support pairs of the torus distance."""
-    return int(np.min(_pair_distances(f, g)))
+    return int(_pair_histogram(f, g)[0][0])
 
 
 def harmonic_bound_rhs(f: WeylFunction, g: WeylFunction, t,
@@ -194,33 +201,29 @@ def harmonic_bound_rhs(f: WeylFunction, g: WeylFunction, t,
                          exp(-mu (a d(X,Y) - v_h(mu) |t|))
            "small_time": theorem form times t^(2 d(X,Y)); requires
                          d(X,Y) > 1 + c_max * e^(mu/2 + 1)
+
+    with C = 2 + c_max e^(mu/2) + 1/c_max, Ctilde = C sum_z e^(-mu (1-a) |z|).
     """
-    c = p.couplings
-    mu = p.mu
-    cmax = c.c_max
+    c, mu = p.couplings, p.mu
     v = velocity(c, mu)
-    C = 2.0 + cmax * np.exp(mu / 2.0) + 1.0 / cmax
-    norms = f.sup_norm * g.sup_norm
-    d = _pair_distances(f, g)  # checks that f and g share a lattice
-    dxy = int(np.min(d))
-    at = np.abs(np.asarray(t, dtype=float))
-    # one |X| x |Y| table at a time, as the CLI's pair budget assumes
-    pair = np.reshape([np.sum(np.exp(-mu * (d - v * a))) for a in at.flat],
-                      at.shape)
-    if form == "theorem":
-        out = C * norms * pair
-    elif form == "small_time":
-        if not dxy > 1.0 + cmax * np.exp(mu / 2.0 + 1.0):
+    log_c = np.logaddexp(np.log(c.c_max) + mu / 2.0,
+                         np.log(2.0 + 1.0 / c.c_max))
+    r, n = _pair_histogram(f, g)
+    K, log_phi, log_g = f.sup_norm * g.sup_norm, log_c - mu * r, None
+    if form == "small_time":
+        if not (r[0] > 1 and np.log(r[0] - 1.0)
+                > np.log(c.c_max) + mu / 2.0 + 1.0):
             raise ValueError(
                 "small-time form requires d(X,Y) > 1 + c_max*e^(mu/2 + 1); "
-                f"got d(X,Y) = {dxy}")
-        out = np.power(at, 2 * dxy) * C * norms * pair
+                f"got d(X,Y) = {r[0]}")
+        log_g = lambda at: 2 * r[0] * np.log(at)
     elif form == "corollary":
         if p.a is None:
             raise ValueError("corollary form requires the parameter a")
-        Ct = C * geometric_lattice_sum(mu * (1.0 - p.a), f.lattice.nu)
-        size = min(len(f.support), len(g.support))
-        out = Ct * norms * size * np.exp(-mu * (p.a * dxy - v * at))
-    else:
+        K *= (geometric_lattice_sum(mu * (1.0 - p.a), f.lattice.nu)
+              * min(len(f.support), len(g.support)))
+        log_phi, n = log_c - mu * p.a * r[0], None
+    elif form != "theorem":
         raise ValueError(f"unknown form {form!r}")
-    return float(out) if out.ndim == 0 else out
+    return _exp_bound(f"harmonic_bound_rhs {form}", t, K, mu * v, log_phi, n,
+                      log_g)

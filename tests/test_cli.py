@@ -410,6 +410,56 @@ def test_genbound_weight_underflow_exits_1_with_one_line(tmp_path):
     assert not (tmp_path / "genbound.csv").exists()
 
 
+# the README's columns that may hold a non-finite cell, and the cells allowed
+NONFINITE_OK = {("commutator.csv", "bound_corollary"): {"nan"},
+                ("focksim.csv", "norm_refined"): {"nan"},
+                ("focksim_fit.csv", "fitted_slope"): {"nan"},
+                ("focksim_fit.csv", "fit_residual_rel"): {"nan"},
+                ("front.csv", "fitted_velocity"): {"nan"},
+                ("clustering_fit.csv", "fitted_xi"): {"nan", "inf"}}
+
+
+def nonfinite_cells(outdir):
+    """(file, column, cell) for every non-finite number in the CSVs under
+    outdir outside the columns of NONFINITE_OK."""
+    found = []
+    for path in sorted(pathlib.Path(outdir).glob("*.csv")):
+        header, *rows = [line.split(",") for line in
+                         path.read_text().splitlines()]
+        for row in rows:
+            for column, cell in zip(header, row):
+                try:
+                    finite = np.isfinite(float(cell))
+                except ValueError:  # a label
+                    continue
+                if not finite and cell not in NONFINITE_OK.get(
+                        (path.name, column), ()):
+                    found.append((path.name, column, cell))
+    return found
+
+
+# one value of a reference scenario changed so that a bound, a velocity or
+# a constant no longer fits in a float
+OUT_OF_RANGE = [("anharm", ("mu",), 1500), ("kernels", ("mu",), 1500),
+                ("genbound", ("times",), [1e3, 2e3]),
+                ("anharm", ("epsilon",), 1e-300),
+                ("clustering", ("epsilon",), 1e-300)]
+
+
+@pytest.mark.parametrize("model,path,value", OUT_OF_RANGE,
+                         ids=[f"{m}-{'.'.join(p)}={v!r}"
+                              for m, p, v in OUT_OF_RANGE])
+def test_bound_outside_the_float_range_exits_1_with_one_line(
+        tmp_path, model, path, value):
+    cfg = scenario(tmp_path, "big.json", mutated(model, path, value))
+    out = tmp_path / "out"
+    rc, err = run_cli([model, "--config", cfg, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "fit in a float" in err[0], err
+    assert nonfinite_cells(out) == []
+
+
 MENU = [None, True, "abc", -1, 0, 2.7, NAN, INF, 1e300, [], {}, 10 ** 7]
 
 
@@ -463,7 +513,10 @@ def test_mutated_scenarios_keep_the_exit_code_contract():
             with open(path, "w") as fh:
                 json.dump(cfg, fh)
             rc, err = run_cli([model, "--config", path, "--out", out])
+            # exit 0 means finite numbers outside the README's columns
+            cells = nonfinite_cells(out) if rc == EXIT_OK else []
         assert_exit_code_contract(rc, err, (model, cfg))
+        assert cells == [], (model, cfg, cells)
 
 
 # argv mutations, each of which must be refused before a config is
