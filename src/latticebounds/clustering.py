@@ -132,22 +132,20 @@ def clustering_fit(cov: GroundStateCovariance, mu: float, epsilon: float,
     """Singleton-pair correlation sweep over distance with a log-linear fit.
 
     Correlations are taken between real unit Weyl arguments at the origin
-    and at distance d.  The envelope constant is calibrated on the near
-    half of the sweep and domination |corr(d)| <= C e^{-d/xi} is checked
-    for d >= xi with xi the gap-based length.
+    and at distance d, read off the covariance profile.  The envelope
+    constant is calibrated on the near half of the sweep and domination
+    |corr(d)| <= C e^{-d/xi} is checked for d >= xi with xi the gap-based
+    length.
     """
     lat = cov.lattice
     if lat.nu != 1:
         raise ValueError("the distance sweep is one-dimensional")
     b = AnharmonicBoundParams(mu=mu, epsilon=epsilon, couplings=cov.couplings)
     xi = xi_theorem(b, cov.gap, p)
-    f = WeylFunction.delta(lat, (0,))
     ds = np.arange(1, lat.L + 1)
-    corr = np.array([weyl_correlation(cov, f, WeylFunction.delta(lat, (d,)))
-                     for d in ds])
-    if np.max(np.abs(corr.imag)) > 1e-12:
-        raise AssertionError("real arguments must give real correlations")
-    corr = corr.real
+    # weyl_correlation of real unit deltas: e^(-qq(0)) expm1(-qq(d))
+    qq = cov.qq[lat.L - 1:]  # displacements 0..L
+    corr = np.exp(-qq[0]) * np.expm1(-qq[ds])
     nonpos = bool(np.any(corr <= 0))
     mags = np.abs(corr)
     usable = mags > 1e-300

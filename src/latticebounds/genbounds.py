@@ -8,6 +8,7 @@ as (subset, norm) pairs; no operators are represented here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -155,30 +156,26 @@ def phi_boundary_and_D(G: InteractionGraph, F: DecayFunction, X, Y):
 def power_law_zeta(nu: int) -> float:
     """sum over x in Z^nu of (1 + |x|)^(-nu-1), |x| the l1 norm.
 
-    The l1 shell counts c_nu(r) are summed directly up to rmax = 2000;
-    beyond that c_nu(r) is an exact polynomial of degree nu-1, so the tail
-    is evaluated in closed form through Hurwitz zeta functions.
-    """
-    from scipy.special import zeta as hurwitz
+    With (1+r)^(-s) = Gamma(s)^(-1) int u^(s-1) e^(-u(1+r)) du and
+    sum_x e^(-u|x|) = coth(u/2)^nu, the sum without x = 0 is
 
-    rmax = 2000
-    # the tail fit below needs its nu nodes at r >= nu
-    if not 1 <= nu <= (rmax + 1) // 2:
-        raise ValueError(f"nu must lie in 1..{(rmax + 1) // 2}")
-    # c_nu(r) = #{x in Z^nu : |x|_1 = r}; each 1-d factor contributes one
-    # point at offset 0 and two at every offset >= 1
-    counts = np.zeros(rmax + 1)
-    counts[0] = 1.0  # nu = 0
-    for _ in range(nu):
-        cum = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
-        counts = counts + 2.0 * cum
-    head = float(np.sum(counts * (1.0 + np.arange(rmax + 1)) ** (-nu - 1)))
-    # express c_nu(r) = sum_m b_m (1+r)^m for r >= nu (polynomial, deg nu-1)
-    rs = np.arange(rmax - nu + 1, rmax + 1, dtype=float)
-    V = np.vander(rs + 1.0, nu, increasing=True)
-    b = np.linalg.solve(V, counts[rmax - nu + 1:rmax + 1])
-    tail = sum(b[m] * hurwitz(nu + 1 - m, rmax + 2) for m in range(nu))
-    return head + float(tail)
+        (1/nu!) int_0^inf e^(-u) (u coth(u/2))^nu (1 - tanh(u/2)^nu) du,
+
+    taken by the trapezoid rule in tau = log u (step 1/8; the integrand is
+    analytic for |Im tau| < pi/2), which meets 50-digit references to
+    about 3e-16 relative for nu = 1..1000.
+    """
+    if not 1 <= nu <= 1000:
+        raise ValueError("nu must lie in 1..1000")
+    h = 0.125
+    tau = np.arange(-45.0, np.log(nu + 1.0) + 5.0, h)
+    u = np.exp(tau)
+    # log tanh(u/2), accurate at both ends
+    e = np.exp(-u[u >= 1])
+    log_tanh = np.concatenate((np.log(np.tanh(u[u < 1] / 2)),
+                               np.log1p(-2 * e / (1 + e))))
+    terms = np.exp((nu + 1) * tau - u - nu * log_tanh - math.lgamma(nu + 1))
+    return 1.0 + h * float(np.sum(terms * -np.expm1(nu * log_tanh)))
 
 
 def theorem_phi_bound(G: InteractionGraph, F: DecayFunction, X, Y,

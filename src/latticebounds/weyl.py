@@ -169,8 +169,7 @@ def geometric_lattice_sum(b: float, nu: int) -> float:
     """sum over z in Z^nu of e^(-b |z|) in closed form (product of 1-d sums)."""
     if b <= 0:
         raise ValueError("decay rate must be positive")
-    q = np.exp(-b)
-    return float(((1.0 + q) / (1.0 - q)) ** nu)
+    return float(((1.0 + np.exp(-b)) / -np.expm1(-b)) ** nu)
 
 
 def _pair_histogram(f: WeylFunction, g: WeylFunction):

@@ -7,6 +7,7 @@ import pathlib
 import random
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,33 @@ def test_bound_outside_the_float_range_exits_1_with_one_line(
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "fit in a float" in err[0], err
     assert nonfinite_cells(out) == []
+
+
+def test_bound_inside_the_float_range_exits_0_with_finite_cells(tmp_path):
+    # sum over Z of e^(-b|z|) ~ 2/b fits, although 1 - e^(-b) rounds to 0
+    cfg = scenario(tmp_path, "small.json",
+                   mutated("commutator", ("mu",), 1e-20))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc, err = run_cli(["commutator", "--config", cfg, "--out", str(out)])
+    assert (rc, err, seen) == (EXIT_OK, [], [])
+    assert nonfinite_cells(out) == []
+
+
+def test_anharm_corollary_on_z6_uses_the_true_zeta_sum(tmp_path):
+    # C_6 zeta_6 with zeta_6 = 1.2253854190516496957 (see test_genbounds)
+    cfg = copy.deepcopy(REFS["anharm"])
+    cfg.update(lattice={"nu": 6, "L": 1},
+               couplings={"omega": 1.0, "lambda": [0.1] * 6},
+               f=[{"site": [0] * 6, "re": 1.0, "im": 0.0}],
+               g=[{"site": [1] * 6, "re": 1.0, "im": 0.0}], times=[1e-6])
+    out = tmp_path / "out"
+    rc, _ = run_cli(["anharm", "--config", scenario(tmp_path, "z6.json", cfg),
+                     "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = (out / "anharm.csv").read_text().splitlines()
+    assert "corollary,1e-06,132.720369334" in rows
 
 
 MENU = [None, True, "abc", -1, 0, 2.7, NAN, INF, 1e300, [], {}, 10 ** 7]

@@ -10,7 +10,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def test_numpy_only_modules_load_no_scipy():
     # a fresh interpreter, since this one has scipy loaded by other tests;
-    # only focksim (and power_law_zeta, lazily) needs scipy
+    # only focksim needs scipy
     code = ("import sys\n"
             "import latticebounds.cli, latticebounds.torus, "
             "latticebounds.kernels, latticebounds.weyl, "
@@ -21,6 +21,36 @@ def test_numpy_only_modules_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_only_focksim_imports_scipy():
+    importers = []
+    for path in sorted((SRC / "latticebounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.append(path.stem)
+    assert set(importers) == {"focksim"}
+
+
+def test_reference_runs_outside_focksim_load_no_scipy(tmp_path):
+    # genbound, anharm and clustering reach power_law_zeta
+    code = ("import sys\n"
+            "from latticebounds.cli import main\n"
+            "for model in ('genbound', 'anharm', 'clustering'):\n"
+            "    assert main([model, '--config', "
+            "f'scenarios/{model}_ref.json', '--out', "
+            f"f'{tmp_path}/{{model}}']) == 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         cwd=SRC.parent, capture_output=True, text=True,
+                         check=True)
     assert out.stdout.strip() == "[]"
 
 
