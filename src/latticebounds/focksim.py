@@ -5,10 +5,11 @@ Systems of N <= 4 sites (open chain or ring) are represented on the tensor
 product of per-site truncated oscillator bases.  H is assembled once, as
 a sparse Kronecker sum of the on-site and bond terms, and every path uses
 it: small systems diagonalise it densely; above DENSE_EIG_DIM the
-low-lying eigenvectors come from ARPACK and the propagator is applied by
-Krylov expm_multiply, so no dense matrix beyond the observables is formed.
-H is real for every even potential under every tag, so the dense
-eigendecomposition and ARPACK (symmetric Lanczos) run in real arithmetic.
+low-lying eigenvectors come from ARPACK and the propagator is a Chebyshev
+sweep over the whole time grid (`expm_multiply`), so no dense matrix
+beyond the observables is formed.  H is real for every even potential
+under every tag, so the dense eigendecomposition, ARPACK (symmetric
+Lanczos) and the sweep run in real arithmetic.
 
 Commutator norms are measured on the span of the lowest-lying energy
 eigenvectors.  The truncated propagator is only faithful on states well
@@ -25,16 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, expm_multiply
+from scipy.sparse.linalg import eigsh
 
 from .torus import Couplings
 from .anharmonic import PerturbationSpec
 
-__all__ = ["FockSystem", "evolve_observable",
+__all__ = ["FockSystem", "evolve_observable", "expm_multiply",
            "commutator_front", "truncation_gate", "ring_distance"]
 
 MAX_DENSE_DIM = 20736
-DENSE_EIG_DIM = 2100  # above this, propagation goes matrix-free
+DENSE_EIG_DIM = 800  # above this, eigsh and the Chebyshev sweep take over
+MAX_TERMS = 2 ** 16  # Chebyshev terms a sweep may take
+TAIL = 2.0 ** -53  # bound on the dropped Bessel tail, relative to |v|
+# times per grid block of FockSystem._commutator_norms: a block holds its
+# propagated columns and its Bessel table in about this many values
+_GRID_VALUES = 2 ** 20
 
 
 def ring_distance(n_sites: int, i: int, j: int) -> int:
@@ -63,6 +69,112 @@ def _mul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     if np.isrealobj(a) and np.iscomplexobj(v):
         return a @ v.real + 1j * (a @ v.imag)
     return a @ v
+
+
+def _bessel_order(x: float, tol: float) -> int:
+    """The smallest order K with 2 sum_{k >= K} |J_k(x)| <= tol, by
+    Kapteyn's bound |J_k(k sech al)| <= e^{k (tanh al - al)}: its
+    logarithm falls with slope -al in k, so the tail past K is at most
+    2 e^{K (tanh al - al)} / (1 - e^{-al}), al = arccosh(K / x).  The
+    orders searched, up to x + 64 + 32 x^(1/3), reach any tol >= 1e-70: at
+    the last one the bound is about e^{-170} for large x, less for small."""
+    if x <= tol / 2:  # 2 sum_{k >= 1} |J_k(x)| <= 2 (e^{x/2} - 1)
+        return 1
+    k = np.arange(np.floor(x) + 1, x + 64 + 32 * np.cbrt(x))
+    al = np.arccosh(k / x)
+    log_tail = (np.log(2.0) + k * (np.tanh(al) - al)
+                - np.log1p(-np.exp(-al)))
+    return int(k[np.argmax(log_tail <= np.log(tol))])
+
+
+def _bessel_j(n: int, x: np.ndarray) -> np.ndarray:
+    """J_k(x_j) for k < n (rows) at each x_j >= 0 (columns), by Miller's
+    backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} (Numerical Recipes
+    6.5), started where the tail is below TAIL**2 and normalised by
+    J_0 + 2 sum_k J_2k = 1."""
+    x = np.asarray(x, dtype=float)
+    # below TAIL / 2, J_0 = 1 and the rest is below the tail bound
+    live = x > TAIL / 2
+    xs = np.where(live, x, 1.0)
+    out = np.zeros((n, x.size))
+    nxt, cur, norm = np.zeros(x.size), np.ones(x.size), np.zeros(x.size)
+    for k in range(max(n, _bessel_order(np.max(x, initial=0.0),
+                                        TAIL ** 2)), 0, -1):
+        if k < n:
+            out[k] = cur
+        if k % 2 == 0:
+            norm += 2.0 * cur
+        nxt, cur = cur, (2.0 * k / xs) * cur - nxt
+        # one step grows by at most 2k/x < 2^72: rescale well before overflow
+        big = np.abs(cur) > 1e200
+        if big.any():
+            for arr in (nxt, cur, norm):
+                arr[big] *= 1e-200
+            out[k:, big] *= 1e-200
+    out[0] = cur
+    out /= norm + cur
+    out[:, ~live] = 0.0
+    out[0, ~live] = 1.0
+    return out
+
+
+def expm_multiply(matvec, v: np.ndarray, times, lo: float, hi: float,
+                  real: bool) -> np.ndarray:
+    """exp(-i t H) v for every t of the 1-D grid `times` (a leading axis
+    per time), for a Hermitian H with spectrum in [lo, hi] given by
+    `matvec` (a column block to H times it), by one Chebyshev sweep
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
+
+        exp(-itH) = e^{-itb} sum_k (2 - d_k0) (-i sgn t)^k J_k(a|t|) T_k(G),
+
+    G = (H - b)/a, [lo, hi] = [b - a, b + a].  The vectors T_k(G) v do not
+    depend on t, so the grid costs K - 1 products with H, where K is the
+    first order whose Bessel tail 2 sum_{k >= K} |J_k(a max|t|)| is at most
+    TAIL; since |T_k(G)| <= 1 that bounds the error relative to |v|.  A
+    sweep that needs more than MAX_TERMS terms raises ValueError.  With
+    `real` (H real) v enters as the real columns [Re v, Im v].
+
+    This is not scipy's expm_multiply (Al-Mohy & Higham's truncated Taylor
+    method, which estimates norms from random probes): it draws nothing."""
+    times = np.asarray(times, dtype=float)
+    v = np.asarray(v)
+    a, b = (hi - lo) / 2.0, (hi + lo) / 2.0
+    x = a * np.abs(times)
+    x_max = float(np.max(x, initial=0.0))
+    # the tail past order x_max is not small, so x_max >= MAX_TERMS (or
+    # nan) needs more than MAX_TERMS terms without a search
+    n_terms = (_bessel_order(x_max, TAIL) if x_max < MAX_TERMS
+               else MAX_TERMS + 1)
+    if n_terms > MAX_TERMS:
+        raise ValueError(
+            f"propagation to |t| = {np.max(np.abs(times)):.6g} needs more "
+            f"than {MAX_TERMS} Chebyshev terms (a max|t| = {x_max:.6g})")
+    # (-i sgn t)^k J_k = (-1)^{k//2} J_k times (-i sgn t) when k is odd:
+    # even orders feed the real part and odd orders the imaginary part
+    k = np.arange(n_terms)[:, None]
+    sgn = np.where(times < 0, -1.0, 1.0)
+    coef = _bessel_j(n_terms, x) * np.where(k // 2 % 2, -2.0, 2.0)
+    coef[1::2] *= -sgn
+    coef[0] /= 2.0
+    u = v.reshape(len(v), -1)
+    width = u.shape[1]
+    u = np.hstack([u.real, u.imag]) if real else u.astype(complex)
+    acc = np.zeros((2, len(times)) + u.shape, u.dtype)
+    prev, cur = None, u
+    for k in range(n_terms):
+        if k:
+            nxt = matvec(cur)
+            nxt -= b * cur
+            nxt *= (2.0 if k > 1 else 1.0) / a
+            if k > 1:
+                nxt -= prev
+            prev, cur = cur, nxt
+        acc[k % 2] += coef[k][:, None, None] * cur
+    out = acc[0] + 1j * acc[1]
+    if real:
+        out = out[..., :width] + 1j * out[..., width:]
+    out *= np.exp(-1j * b * times)[:, None, None]
+    return out.reshape(times.shape + v.shape)
 
 
 class FockSystem:
@@ -95,6 +207,7 @@ class FockSystem:
         self.q1, self.p1 = _local_ops(trunc, omega0)
         self._assemble_local_terms()
         self._h = None
+        self._interval = None
         self._eig = None
         self._low: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -241,33 +354,68 @@ class FockSystem:
 
     # -- dynamics --------------------------------------------------------
 
-    def propagate(self, v: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t H) v for a vector or column block, through the cached
-        eigendecomposition or, above DENSE_EIG_DIM, by expm_multiply on the
-        sparse H (which gives it the exact trace and 1-norm)."""
+    def _spectral_interval(self) -> tuple[float, float]:
+        """Cached Gershgorin interval of H: every eigenvalue lies within
+        the absolute off-diagonal row sum of some diagonal entry."""
+        if self._interval is None:
+            h = self.hamiltonian()
+            d = h.diagonal().real
+            r = abs(h).sum(axis=1) - np.abs(d)
+            self._interval = float(np.min(d - r)), float(np.max(d + r))
+        return self._interval
+
+    def propagate(self, v: np.ndarray, t) -> np.ndarray:
+        """exp(-i t H) v for a vector or column block v, at a scalar t or
+        for every t of a 1-D grid (a leading axis per time), through the
+        cached eigendecomposition or, above DENSE_EIG_DIM, by one Chebyshev
+        sweep (`expm_multiply`) on the sparse H."""
+        grid = np.atleast_1d(np.asarray(t, dtype=float))
         if self.dim <= DENSE_EIG_DIM:
             w, vecs = self.eigensystem()
             # conj() of a real array is the array itself, not a copy
             coef = _mul(vecs.conj().T, v)
-            return _mul(vecs, (np.exp(-1j * t * w) * coef.T).T)
-        if t == 0.0:
-            return v.astype(complex)
-        return expm_multiply(-1j * t * self.hamiltonian(), v.astype(complex))
+            # every time of the grid as columns of one product with vecs
+            phases = np.exp(-1j * np.multiply.outer(w, grid))
+            coef = coef[..., None] * phases.reshape(
+                (self.dim,) + (1,) * (coef.ndim - 1) + (len(grid),))
+            out = _mul(vecs, coef.reshape(self.dim, -1)).reshape(coef.shape)
+            out = np.moveaxis(out, -1, 0)
+        else:
+            lo, hi = self._spectral_interval()
+            out = expm_multiply(self.apply_h, v, grid, lo, hi,
+                                real=not np.iscomplexobj(self.hamiltonian()))
+        return out if np.ndim(t) else out[0]
 
     def commutator_norm(self, f: np.ndarray, g: np.ndarray, t: float,
                         n_low: int = 20) -> float:
         """Norm of [tau_t(W(f)), W(g)] restricted to the lowest n_low
         energy eigenvectors (the converged sector of the truncation)."""
+        return float(self._commutator_norms(f, g, [t], n_low)[0])
+
+    def _commutator_norms(self, f: np.ndarray, g: np.ndarray, times,
+                          n_low: int) -> np.ndarray:
+        """commutator_norm for every t of the 1-D grid `times`."""
+        times = np.asarray(times, dtype=float)
         ff = self.weyl_local_factors(np.asarray(f, dtype=complex))
         gf = self.weyl_local_factors(np.asarray(g, dtype=complex))
         energies, basis = self.low_energy_basis(n_low)
-        # tau_t(W_f) W_g B and W_g tau_t(W_f) B, with e^{-itH} B =
-        # B diag(e^{-itE}) and the two e^{itH} blocks propagated as one
-        x = self.propagate(self.apply_weyl(gf, basis), t)
-        y = basis * np.exp(-1j * t * energies)
-        z = self.propagate(self.apply_weyl(ff, np.hstack([x, y])), -t)
-        a, b = np.hsplit(z, 2)
-        return float(np.linalg.norm(a - self.apply_weyl(gf, b), 2))
+        wg_basis = self.apply_weyl(gf, basis)
+        wf_basis = self.apply_weyl(ff, basis)
+        norms = np.empty(len(times))
+        # tau_t(W_f) W_g B = e^{itH} W_f x(t) with x(t) = e^{-itH} W_g B,
+        # and W_g tau_t(W_f) B = W_g (e^{itH} W_f B) e^{-itE}: x and the
+        # e^{itH} W_f B block take one grid call each, per block of times
+        step = max(1, _GRID_VALUES // (basis.size + MAX_TERMS))
+        for s in range(0, len(times), step):
+            block = times[s:s + step]
+            x = self.propagate(wg_basis, block)
+            y = (self.propagate(wf_basis, -block)
+                 * np.exp(-1j * np.multiply.outer(block, energies))[:, None])
+            for i, t in enumerate(block):
+                a = self.propagate(self.apply_weyl(ff, x[i]), -t)
+                norms[s + i] = np.linalg.norm(
+                    a - self.apply_weyl(gf, y[i]), 2)
+        return norms
 
 
 def evolve_observable(sys: FockSystem, a: np.ndarray, t: float) -> np.ndarray:
@@ -298,8 +446,7 @@ def commutator_front(sys: FockSystem, f: np.ndarray, g: np.ndarray,
     if np.any((f != 0) & (g != 0)):
         raise ValueError("supports of f and g must be disjoint")
     tgrid = np.asarray(tgrid, dtype=float)
-    norms = np.array([sys.commutator_norm(f, g, t, n_low=n_low)
-                      for t in tgrid])
+    norms = sys._commutator_norms(f, g, tgrid, n_low)
     nz = tgrid != 0
     if np.count_nonzero(nz) >= 2:
         slope = float(np.sum(tgrid[nz] * norms[nz])
@@ -324,7 +471,6 @@ def truncation_gate(sys: FockSystem, f: np.ndarray, g: np.ndarray,
         raise ValueError("norms must give one value per time")
     bigger = FockSystem(sys.n_sites, sys.trunc + dn, sys.couplings,
                         sys.geometry, sys.perturbation)
-    big = np.array([bigger.commutator_norm(f, g, t, n_low=n_low)
-                    for t in tgrid])
+    big = bigger._commutator_norms(f, g, tgrid, n_low)
     change = float(np.max(np.abs(norms - big))) if len(tgrid) else 0.0
     return big, change, change < tol

@@ -174,24 +174,41 @@ def test_focksim_scenario_writes_tables(tmp_path):
     assert (out / "focksim_fit.csv").exists()
 
 
+MATRIX_FREE_FOCKSIM = {
+    "schema_version": 1, "model": "focksim",
+    "n_sites": 3, "trunc": 13,
+    "couplings": {"omega": 1.0, "lambda": [0.62]},
+    "perturbation": {"type": "gaussian", "alpha": 0.15, "tag": "site"},
+    "f": [[0.45, 0.05], [0.0, 0.0], [0.0, 0.0]],
+    "g": [[0.0, 0.0], [0.5, -0.04], [0.0, 0.0]],
+    "times": [0.05, 0.1], "n_low": 4,
+}
+
+
 def test_matrix_free_focksim_is_reproducible(tmp_path):
-    # dim 13^3 = 2197 is above DENSE_EIG_DIM: ARPACK basis and Krylov
+    # dim 13^3 = 2197 is above DENSE_EIG_DIM: ARPACK basis and Chebyshev
     # propagation, run twice in one process
-    cfg = scenario(tmp_path, "f.json", {
-        "schema_version": 1, "model": "focksim",
-        "n_sites": 3, "trunc": 13,
-        "couplings": {"omega": 1.0, "lambda": [0.62]},
-        "perturbation": {"type": "gaussian", "alpha": 0.15, "tag": "site"},
-        "f": [[0.45, 0.05], [0.0, 0.0], [0.0, 0.0]],
-        "g": [[0.0, 0.0], [0.5, -0.04], [0.0, 0.0]],
-        "times": [0.05, 0.1], "n_low": 4,
-    })
+    cfg = scenario(tmp_path, "f.json", MATRIX_FREE_FOCKSIM)
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert main(["focksim", "--config", cfg, "--out", str(out)]) \
             == EXIT_OK
     for name in ("focksim.csv", "focksim_fit.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_focksim_past_the_chebyshev_term_cap_exits_1_with_one_line(
+        tmp_path):
+    # the sweep to t = 1e5 would need about a t = 2e7 terms
+    cfg = scenario(tmp_path, "f.json",
+                   dict(MATRIX_FREE_FOCKSIM, times=[1e5]))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["focksim", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: focksim:"), lines
+    assert "Chebyshev terms (a max|t| = " in lines[0]
 
 
 def test_verify_battery_passes(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,85 @@ def test_matrix_free_norms_match_the_dense_path(monkeypatch, tag):
     got = [free.commutator_norm(F3, G3, t, n_low=4) for t in (0.05, 0.1)]
     assert free._eig is None  # the dense path never ran
     assert np.allclose(got, ref, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("pert", [PerturbationSpec.gaussian(0.2), ODD_P],
+                         ids=["real", "complex"])
+def test_chebyshev_sweep_matches_scipy_expm_multiply(pert):
+    # scipy's Krylov-Taylor propagator is the oracle; the sweep takes the
+    # whole grid, with t < 0 and t = 0 in it, and a one-time grid per t
+    from scipy.sparse.linalg import expm_multiply
+    sys = FockSystem(3, 8, RING3, perturbation=pert)
+    h = sys.hamiltonian()
+    lo, hi = sys._spectral_interval()
+    real = not np.iscomplexobj(h)
+    assert real == (pert is not ODD_P)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((sys.dim, 3)) + 1j * rng.standard_normal(
+        (sys.dim, 3))
+    times = np.array([-0.7, 0.0, 0.05, 0.3, 1.5])
+    grid = focksim.expm_multiply(sys.apply_h, v, times, lo, hi, real)
+    assert grid.shape == (len(times),) + v.shape
+    for t, got in zip(times, grid):
+        ref = expm_multiply(-1j * t * h, v)
+        one = focksim.expm_multiply(sys.apply_h, v, [t], lo, hi, real)[0]
+        for x in (got, one):
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.array_equal(grid[1], v)
+    empty = focksim.expm_multiply(sys.apply_h, v, [], lo, hi, real)
+    assert empty.shape == (0,) + v.shape
+
+
+def test_miller_bessel_values():
+    # x in [0, 600] with every order the sweep at a|t| = 600 takes.  scipy's
+    # jv is itself off by up to 1.6e-14 here (against 30-digit mpmath), so
+    # the 1e-15 check is against mpmath, at every 8th order
+    from scipy.special import jv
+    mpmath = pytest.importorskip("mpmath")
+    n = focksim._bessel_order(600.0, focksim.TAIL)
+    x = np.concatenate([[1e-300, 1e-12, 0.3], np.linspace(0.0, 600.0, 121)])
+    got = focksim._bessel_j(n, x)
+    k = np.arange(n)[:, None]
+    assert np.max(np.abs(got - jv(k, x))) <= 2e-14
+    mpmath.mp.dps = 30
+    some = np.array([0, 1, 2, 30, 61, 95, 123])
+    ref = np.array([[float(mpmath.besselj(int(o), mpmath.mpf(float(xx))))
+                     for xx in x[some]] for o in range(0, n, 8)])
+    assert np.max(np.abs(got[::8][:, some] - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("x", [1.2e6, 65500.0])
+def test_sweep_past_the_term_cap_raises_before_any_bessel_table(
+        monkeypatch, x):
+    # 65500 < MAX_TERMS, but its tail needs about 500 orders more
+    def no_table(*args):
+        raise AssertionError("a Bessel table was allocated")
+    monkeypatch.setattr(focksim, "_bessel_j", no_table)
+    with pytest.raises(ValueError, match=re.escape(f"a max|t| = {x:.6g}")):
+        focksim.expm_multiply(lambda u: u, np.ones(4), [-x], -1.0, 1.0, True)
+
+
+def test_matrix_free_gate_draws_no_global_random_numbers(monkeypatch):
+    pert = PerturbationSpec.gaussian(0.2)
+    sys = FockSystem(3, 8, RING3, perturbation=pert)
+    monkeypatch.setattr(focksim, "DENSE_EIG_DIM", sys.dim - 1)
+    before = np.random.get_state()
+    norms = commutator_front(sys, F3, G3, [0.05, 0.1], n_low=4).norms
+    truncation_gate(sys, F3, G3, [0.05, 0.1], norms, dn=1, n_low=4)
+    after = np.random.get_state()
+    assert sys._eig is None
+    assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
+def test_grid_blocks_give_the_one_block_norms(monkeypatch):
+    # a block of one time per sweep, against the whole grid in one
+    sys = FockSystem(3, 8, RING3, perturbation=PerturbationSpec.gaussian(0.2))
+    monkeypatch.setattr(focksim, "DENSE_EIG_DIM", sys.dim - 1)
+    tgrid = [-0.1, 0.0, 0.05, 0.2]
+    whole = commutator_front(sys, F3, G3, tgrid, n_low=4).norms
+    monkeypatch.setattr(focksim, "_GRID_VALUES", 1)
+    blocks = commutator_front(sys, F3, G3, tgrid, n_low=4).norms
+    assert np.allclose(blocks, whole, rtol=1e-10, atol=1e-14)
 
 
 def test_constructor_validation():

@@ -37,27 +37,41 @@ def test_every_traced_name_resolves():
 def test_tracer_records_every_fock_layer_and_uninstalls(monkeypatch):
     spans = _spans()
     before = {t: _resolve(*t) for t in spans.TARGETS}
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        c = Couplings(1.0, (0.5,))
-        f = np.array([0.4, 0.0, 0.0])
-        g = np.array([0.0, 0.4j, 0.0])
-        # module attributes, which the tracer wraps
-        dense = focksim.FockSystem(3, 4, c)
-        dense.apply_h(np.ones(dense.dim))
-        front = focksim.commutator_front(dense, f, g, [0.1], n_low=4)
-        monkeypatch.setattr(focksim, "DENSE_EIG_DIM", 10)
-        # the refined system (trunc 5, dim 125) runs matrix-free
-        focksim.truncation_gate(dense, f, g, [0.1], front.norms, dn=1,
-                                n_low=4)
-    finally:
-        tracer.uninstall()
-    assert {t: _resolve(*t) for t in spans.TARGETS} == before
-    recorded = {s[0] for s in tracer.spans}
-    fock = {f"{m}.{p}" for m, p in spans.TARGETS if m == "focksim"}
-    assert fock <= recorded, sorted(fock - recorded)
-    assert tracer.counters["focksim.FockSystem.apply_h.cols"] == 1
+    c = Couplings(1.0, (0.5,))
+    f = np.array([0.4, 0.0, 0.0])
+    g = np.array([0.0, 0.4j, 0.0])
+    dense_dim = focksim.DENSE_EIG_DIM
+    counters = []
+    for _ in range(2):
+        monkeypatch.setattr(focksim, "DENSE_EIG_DIM", dense_dim)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            # module attributes, which the tracer wraps
+            dense = focksim.FockSystem(3, 4, c)
+            dense.apply_h(np.ones(dense.dim))
+            # commutator_front takes the grid path, not commutator_norm
+            dense.commutator_norm(f, g, 0.1, n_low=4)
+            front = focksim.commutator_front(dense, f, g, [0.1], n_low=4)
+            monkeypatch.setattr(focksim, "DENSE_EIG_DIM", 10)
+            # the refined system (trunc 5, dim 125) runs matrix-free
+            focksim.truncation_gate(dense, f, g, [0.1], front.norms, dn=1,
+                                    n_low=4)
+        finally:
+            tracer.uninstall()
+        assert {t: _resolve(*t) for t in spans.TARGETS} == before
+        recorded = {s[0] for s in tracer.spans}
+        fock = {f"{m}.{p}" for m, p in spans.TARGETS if m == "focksim"}
+        assert fock <= recorded, sorted(fock - recorded)
+        counters.append(dict(tracer.counters))
+    # the gate's three sweeps (x(t), e^{itH} W_f B, and the per-time one)
+    # reach |t| = 0.1 in K terms, K - 1 products each, on the 4 basis
+    # columns stacked as 8 real ones (H is real)
+    lo, hi = focksim.FockSystem(3, 5, c)._spectral_interval()
+    n_terms = focksim._bessel_order((hi - lo) / 2 * 0.1, focksim.TAIL)
+    assert counters[0]["focksim.FockSystem.apply_h.cols"] == \
+        1 + 3 * (n_terms - 1) * 8
+    assert counters[1] == counters[0]
 
 
 def test_tracer_sees_the_cli_dispatch(tmp_path):
