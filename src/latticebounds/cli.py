@@ -437,18 +437,16 @@ def cmd_lightcone(cfg: dict, outdir: str) -> int:
 
 
 def cmd_genbound(cfg: dict, outdir: str) -> int:
-    from .genbounds import (InteractionGraph, l1_metric, power_law,
-                            theorem_phi_bound)
+    from .genbounds import InteractionGraph, power_law, theorem_phi_bound
     if (cfg["points"] is None) == (cfg["metric"] is None):
         raise ScenarioError("give exactly one of points and metric")
     n = len(cfg["points"] or cfg["metric"])
     if n * n > MAX_SITES:
         raise ScenarioError(f"{n} sites: the {n} x {n} metric table exceeds "
                             f"the budget of {MAX_SITES}")
-    metric = (cfg["metric"] if cfg["points"] is None
-              else l1_metric(cfg["points"]))
-    G = InteractionGraph(metric, [(set(tc["sites"]), tc["norm"])
-                                  for tc in cfg["terms"]])
+    terms = [(set(tc["sites"]), tc["norm"]) for tc in cfg["terms"]]
+    G = (InteractionGraph(cfg["metric"], terms) if cfg["points"] is None
+         else InteractionGraph.from_points(cfg["points"], terms))
     F = power_law(cfg["decay"]["exponent"]).with_a(cfg["decay"]["a"])
     forms, times = cfg["forms"], cfg["times"]
     write_csv(os.path.join(outdir, "genbound.csv"), {
@@ -549,8 +547,7 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
                        commutator_norm_exact, evolve, evolve_mode_space,
                        harmonic_bound_rhs)
     from .lightcone import mu_star
-    from .genbounds import (InteractionGraph, decay_constants, l1_metric,
-                            power_law)
+    from .genbounds import InteractionGraph, decay_constants, power_law
     from .anharmonic import PerturbationSpec, kappa_V
     from .clustering import ground_covariance, weyl_expectation
     from . import focksim as fsim
@@ -606,7 +603,7 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     # diagonal
     cells = rng.choice(81, size=6, replace=False)
     pts = np.stack([cells // 9 - 4, cells % 9 - 4], axis=1)
-    G = InteractionGraph(l1_metric(pts), [({0, 1}, 1.0), ({2, 3}, 0.5)])
+    G = InteractionGraph.from_points(pts, [({0, 1}, 1.0), ({2, 3}, 0.5)])
     F = power_law(3).with_a(0.2)
     normF, ca = decay_constants(G, F)
     brute = max(sum(F.f(G.d[x, y]) for y in range(G.n)) for x in range(G.n))
@@ -637,7 +634,8 @@ def cmd_verify(outdir: str, seed: int | None) -> int:
     _, psi0 = sys30.ground_state()
     h = np.array([0.5 + 0.2j, 0.0])
     gexp = weyl_expectation(cov, WeylFunction(lat2, h))
-    bexp = float(np.vdot(psi0, sys30.weyl_matrix(h) @ psi0).real)
+    bexp = float(np.vdot(psi0, sys30.apply_weyl(sys30.weyl_local_factors(h),
+                                                psi0)).real)
     checks.append(("gaussian_ground_state", abs(gexp - bexp), 1e-6))
 
     # err < tol passes; a zero tol bounds a signed excess, which passes at 0

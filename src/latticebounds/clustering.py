@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .torus import Couplings, TorusLattice, dispersion
-from .weyl import WeylFunction, _conv, symplectic_form
+from .weyl import WeylFunction, _check_same_lattice, _conv, symplectic_form
 from .anharmonic import AnharmonicBoundParams, PerturbationSpec, \
     anharm_constants
 
@@ -79,8 +79,7 @@ def weyl_expectation(cov: GroundStateCovariance, h: WeylFunction) -> float:
     covariance vanishes in the ground state.  Both circulant quadratic
     forms are evaluated by FFT convolution with the covariance profiles.
     """
-    if h.lattice != cov.lattice:
-        raise ValueError("lattice mismatch")
+    _check_same_lattice(cov, h)
     return float(np.exp(-0.5 * _form(cov, h, h)))
 
 
@@ -95,8 +94,7 @@ def weyl_correlation(cov: GroundStateCovariance, f: WeylFunction,
     between two numbers of order one, so far-apart supports keep their
     relative accuracy.
     """
-    if f.lattice != cov.lattice or g.lattice != cov.lattice:
-        raise ValueError("lattice mismatch")
+    _check_same_lattice(cov, f, g)
     z = -_form(cov, f, g) - 0.5j * symplectic_form(f, g)
     return complex(weyl_expectation(cov, f) * weyl_expectation(cov, g)
                    * np.expm1(z))

@@ -23,6 +23,7 @@ norm equals the true norm up to truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,8 +195,7 @@ class FockSystem:
         dim = trunc ** n_sites
         if dim > MAX_DENSE_DIM:
             raise ValueError(
-                f"dimension {dim} exceeds the dense-feasibility cap "
-                f"{MAX_DENSE_DIM}")
+                f"dimension {dim} exceeds the oracle's cap {MAX_DENSE_DIM}")
         self.n_sites = n_sites
         self.trunc = trunc
         self.dim = dim
@@ -225,16 +225,19 @@ class FockSystem:
         c = self.couplings
         lam = c.lam[0]
         pert = self.perturbation
-        onsite = self.p1 @ self.p1 + c.omega**2 * (self.q1 @ self.q1)
+        q2 = self.q1 @ self.q1
+        onsite = self.p1 @ self.p1 + c.omega**2 * q2
         if pert.potential is not None and pert.tag == "site":
             onsite = onsite + _matrix_function(self.q1, pert.potential)
         if pert.potential is not None and pert.tag == "site_p":
             onsite = onsite + _matrix_function(self.p1, pert.potential)
-        # lam (q_i - q_j)^2 on a pair, plus an optional bond potential
+        # lam (q_i - q_j)^2 = lam (q^2 x 1 + 1 x q^2 - 2 q x q) on a pair,
+        # plus an optional bond potential V(q_i - q_j)
         eye = np.eye(n)
-        dq = np.kron(self.q1, eye) - np.kron(eye, self.q1)
-        bond = lam * (dq @ dq)
+        bond = lam * (np.kron(q2, eye) + np.kron(eye, q2)
+                      - 2.0 * np.kron(self.q1, self.q1))
         if pert.potential is not None and pert.tag == "bond":
+            dq = np.kron(self.q1, eye) - np.kron(eye, self.q1)
             bond = bond + _matrix_function(dq, pert.potential)
         # relative, so that the check holds at every energy scale
         if any(np.max(np.abs(m - m.conj().T)) > 1e-10 * np.max(np.abs(m))
@@ -248,7 +251,10 @@ class FockSystem:
         self._bond = bond
 
     def _embed(self, op: np.ndarray, sites: tuple[int, ...]) -> sp.csr_array:
-        """op, acting on `sites` in the order given, on the full space."""
+        """op, acting on `sites` in the order given, on the full space.
+        An index table places it, not a Kronecker product with identities,
+        because the sites need not be ascending: the ring's wrap bond is
+        (N - 1, 0)."""
         n, N = self.trunc, self.n_sites
         order = list(sites) + [x for x in range(N) if x not in sites]
         # full-space index of each index of the space reordered as `order`
@@ -266,19 +272,6 @@ class FockSystem:
                           + [self._embed(self._bond, b)
                              for b in self.bonds()])
         return self._h
-
-    # -- tensor application (vectors or column blocks) -------------------
-
-    def _apply_one_site(self, op: np.ndarray, site: int,
-                        v: np.ndarray) -> np.ndarray:
-        n, N = self.trunc, self.n_sites
-        batch = v.shape[1:]
-        t = v.reshape((n,) * N + batch)
-        t = np.moveaxis(t, site, 0)
-        moved = t.shape
-        t = op @ t.reshape(n, -1)
-        t = np.moveaxis(t.reshape(moved), 0, site)
-        return t.reshape((self.dim,) + batch)
 
     def apply_h(self, v: np.ndarray) -> np.ndarray:
         return self.hamiltonian() @ v
@@ -331,25 +324,20 @@ class FockSystem:
         f = np.asarray(f, dtype=complex)
         if f.shape != (self.n_sites,):
             raise ValueError("f must assign one amplitude per site")
-        facs = []
-        for x in range(self.n_sites):
-            gen = self.q1 * f[x].real + self.p1 * f[x].imag
-            facs.append(_matrix_function(gen, lambda w: np.exp(1j * w)))
-        return facs
+        return [_matrix_function(self.q1 * a.real + self.p1 * a.imag,
+                                 lambda w: np.exp(1j * w)) for a in f]
 
     def weyl_matrix(self, f: np.ndarray) -> np.ndarray:
-        facs = self.weyl_local_factors(f)
-        out = facs[0]
-        for m in facs[1:]:
-            out = np.kron(out, m)
-        return out
+        return reduce(np.kron, self.weyl_local_factors(f))
 
     def apply_weyl(self, factors: list[np.ndarray],
                    v: np.ndarray) -> np.ndarray:
-        """W(f) v, for W(f) given by its per-site factors
-        (weyl_local_factors)."""
+        """W(f) v for a vector or column block v, W(f) given by per-site
+        factors (weyl_local_factors) that act on sites 0, 1, ... in turn:
+        site x is the middle axis of the row-major view (n^x, n, rest)."""
+        n = self.trunc
         for x, m in enumerate(factors):
-            v = self._apply_one_site(m, x, v)
+            v = (m @ v.reshape(n ** x, n, -1)).reshape(v.shape)
         return v
 
     # -- dynamics --------------------------------------------------------

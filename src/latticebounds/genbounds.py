@@ -68,6 +68,20 @@ class InteractionGraph:
     """Finite site list with a metric table and interaction term norms."""
 
     def __init__(self, metric: np.ndarray, terms):
+        self._set(metric, terms)
+        self._check_triangle()
+
+    @classmethod
+    def from_points(cls, points, terms) -> "InteractionGraph":
+        """The graph on the l1 metric of the points (rows).  That metric
+        satisfies the triangle inequality by construction, so only the
+        O(n^2) checks run, not the O(n^3) scan of a given metric."""
+        G = cls.__new__(cls)
+        G._set(l1_metric(points), terms)
+        return G
+
+    def _set(self, metric, terms):
+        """Store the metric and the terms, with every check but the scan."""
         d = np.asarray(metric, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("metric must be a square table")
@@ -81,17 +95,16 @@ class InteractionGraph:
             if norm < 0:
                 raise ValueError("term norms must be >= 0")
             self.terms.append((Z, float(norm)))
-        self._check_metric()
-
-    def _check_metric(self):
-        d = self.d
         if np.any(np.diag(d) != 0):
             raise ValueError("metric must vanish on the diagonal")
         if np.any(d != d.T):
             raise ValueError("metric must be symmetric")
         if np.any((d == 0) & ~np.eye(self.n, dtype=bool)):
             raise ValueError("distinct sites must have positive distance")
-        # triangle inequality, exhaustive
+
+    def _check_triangle(self):
+        """The triangle inequality, exhaustively: O(n^3) comparisons."""
+        d = self.d
         for z in range(self.n):
             if np.any(d > d[:, z][:, None] + d[z, :][None, :] + 1e-12):
                 raise ValueError("triangle inequality violated")

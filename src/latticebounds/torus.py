@@ -10,7 +10,6 @@ axis; leading axes are a batch) to dual-ordered coefficients and back.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +61,14 @@ class TorusLattice:
         self.nu = int(nu)
         self.L = int(L)
         self.side = 2 * self.L
-        coords = range(-self.L + 1, self.L + 1)
-        self.sites = np.array(list(itertools.product(coords, repeat=self.nu)),
-                              dtype=np.int64)
+        self._shape = (self.side,) * self.nu
+        # row-major over the cube of coordinates -L+1, ..., L
+        self.sites = np.ascontiguousarray(
+            np.indices(self._shape, dtype=np.int64).reshape(self.nu, -1).T
+            - (self.L - 1))
         self.dual = self.sites * (np.pi / self.L)
         self.sites.flags.writeable = False
         self.dual.flags.writeable = False
-        self._shape = (self.side,) * self.nu
         # flat FFT-grid index of each site, and the site at each grid point
         self._grid_pos = np.ravel_multi_index(tuple((self.sites % self.side).T),
                                               self._shape)

@@ -7,6 +7,8 @@ from latticebounds.anharmonic import (AnharmonicBoundParams, F_mu,
                                       PerturbationSpec, anharm_bound_rhs,
                                       anharm_constants, kappa_V,
                                       lattice_power_sum)
+from latticebounds.focksim import (FockSystem, commutator_front,
+                                   ring_distance, truncation_gate)
 from latticebounds.genbounds import power_law_zeta
 from latticebounds.kernels import velocity
 from latticebounds.torus import Couplings, TorusLattice
@@ -191,3 +193,30 @@ def test_bound_rhs_scales_with_sup_norms():
                            WeylFunction.delta(lat, (4,)), 0.3, b, p)
     assert anharm_bound_rhs(f, g, 0.3, b, p) == pytest.approx(
         2.0 * abs(0.5 + 0.5j) * one, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_sites, tag", [(3, "site_p"), (2, "bond")])
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+def test_momentum_and_bond_perturbations_obey_the_bound(n_sites, tag, alpha):
+    # acceptance 7's check under the other two tags: the Fock oracle's
+    # norms at trunc 16, refined by a dn = 4 gate that must pass, against
+    # C e^((mu+eps) v t) F_mu(d) in the Z^nu limit.  The 2-ring is the
+    # L = 1 torus, where that is anharm_bound_rhs itself.
+    b = AnharmonicBoundParams(1.0, 1.0, C11)
+    pert = PerturbationSpec.gaussian(alpha, tag)
+    C, _, v = anharm_constants(b, pert)
+    times = np.array([0.05, 0.15, 0.3])
+    f, g = np.eye(n_sites, dtype=complex)[:2]
+    sys = FockSystem(n_sites, 16, C11, perturbation=pert)
+    small = commutator_front(sys, f, g, times, n_low=4).norms
+    norms, change, ok = truncation_gate(sys, f, g, times, small, dn=4,
+                                        tol=1e-4, n_low=4)
+    assert ok, f"gate change {change:.2e} exceeds 1e-4"
+    rhs = (C * np.exp((b.mu + b.epsilon) * v * times)
+           * F_mu(b.mu, 1, ring_distance(n_sites, 0, 1)))
+    if n_sites == 2:
+        lat = TorusLattice(1, 1)
+        assert anharm_bound_rhs(WeylFunction(lat, f), WeylFunction(lat, g),
+                                times, b, pert, z_limit=True) \
+            == pytest.approx(rhs, rel=1e-12)
+    assert np.all(norms > 0) and np.all(rhs - norms >= 0)

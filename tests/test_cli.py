@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latticebounds import weyl
+from latticebounds import genbounds, weyl
 from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                                main, write_csv)
 
@@ -398,6 +398,44 @@ def test_genbound_above_the_site_budget_is_refused_at_once(tmp_path):
     rc, err = run_cli(["genbound", "--config", cfg, "--out", str(tmp_path)])
     assert rc == EXIT_VALIDATION and len(err) == 1 and "budget" in err[0]
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_genbound_points_never_reach_the_triangle_scan(tmp_path,
+                                                      monkeypatch):
+    # the l1 metric of points is a metric by construction, so neither
+    # genbound nor verify scans it; the same table given as a metric is
+    # scanned and gives the same bytes
+    def scan(self):
+        raise AssertionError("triangle scan of an l1 metric")
+
+    monkeypatch.setattr(genbounds.InteractionGraph, "_check_triangle", scan)
+    ref = REFS["genbound"]
+    cfg = scenario(tmp_path, "points.json", ref)
+    assert run_cli(["genbound", "--config", cfg,
+                    "--out", str(tmp_path / "p")]) == (EXIT_OK, [])
+    assert run_cli(["verify", "--out", str(tmp_path / "v")]) == (EXIT_OK, [])
+    monkeypatch.undo()
+    metric = genbounds.l1_metric(ref["points"]).tolist()
+    cfg = scenario(tmp_path, "metric.json",
+                   dict({k: v for k, v in ref.items() if k != "points"},
+                        metric=metric))
+    assert run_cli(["genbound", "--config", cfg,
+                    "--out", str(tmp_path / "m")]) == (EXIT_OK, [])
+    assert ((tmp_path / "p" / "genbound.csv").read_bytes()
+            == (tmp_path / "m" / "genbound.csv").read_bytes())
+
+
+def test_genbound_metric_breaking_the_triangle_inequality_exits_1(tmp_path):
+    cfg = scenario(tmp_path, "tri.json", {
+        "schema_version": 1, "model": "genbound",
+        "metric": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+        "terms": [{"sites": [0, 1], "norm": 1.0}],
+        "decay": {"exponent": 2, "a": 0.5}, "X": [0], "Y": [2],
+        "forms": ["theorem"], "times": [0.5]})
+    rc, err = run_cli(["genbound", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION and len(err) == 1
+    assert "triangle inequality" in err[0]
+    assert not (tmp_path / "genbound.csv").exists()
 
 
 @pytest.mark.parametrize("model", ["commutator", "anharm"])

@@ -83,7 +83,7 @@ def test_qq_covariance_against_four_site_ring():
     cov = ground_covariance(lat, c)
     sys = FockSystem(4, 12, c)
     _, gs = sys.ground_state()
-    v = sys._apply_one_site(sys.q1, 1, sys._apply_one_site(sys.q1, 0, gs))
+    v = sys.apply_weyl([sys.q1, sys.q1], gs)  # q_0 q_1 gs
     fock = (gs.conj() @ v).real
     assert cov.qq[lat.index((1,))] == pytest.approx(fock, abs=1e-6)
 

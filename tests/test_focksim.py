@@ -131,15 +131,30 @@ def test_odd_momentum_potential_keeps_a_complex_hermitian_hamiltonian():
     assert np.max(np.abs(h - _kron_hamiltonian(sys))) < 1e-12
 
 
-def test_weyl_matrix_is_unitary_and_factorizes():
-    sys = FockSystem(2, 12, C11)
-    f = np.array([0.7 - 0.2j, 0.1 + 0.4j])
+@pytest.mark.parametrize("block", [(), (3,)], ids=["vector", "columns"])
+@pytest.mark.parametrize("geometry", ["ring", "chain"])
+@pytest.mark.parametrize("n_sites, trunc", [(1, 12), (2, 12), (3, 7), (4, 5)])
+def test_weyl_matrix_is_unitary_and_factorizes(n_sites, trunc, geometry,
+                                               block):
+    # W(f) applied factor by factor on the stacked tensor view against the
+    # Kronecker product of the factors, with distinct amplitudes per site
+    sys = FockSystem(n_sites, trunc, C11, geometry=geometry)
+    rng = np.random.default_rng(1)
+    f = rng.uniform(-1, 1, n_sites) + 1j * rng.uniform(-1, 1, n_sites)
     w = sys.weyl_matrix(f)
     assert np.allclose(w @ w.conj().T, np.eye(sys.dim), atol=1e-12)
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(sys.dim) + 1j * rng.standard_normal(sys.dim)
-    assert np.allclose(sys.apply_weyl(sys.weyl_local_factors(f), v), w @ v,
-                       atol=1e-12)
+    shape = (sys.dim,) + block
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = sys.apply_weyl(sys.weyl_local_factors(f), v)
+    assert got.shape == shape
+    assert np.allclose(got, w @ v, atol=1e-12)
+    # one factor at a time: site x alone acts as 1 x m x 1
+    eye = np.eye(trunc)
+    for x, m in enumerate(sys.weyl_local_factors(f)):
+        facs = [eye] * x + [m]
+        kron = np.kron(np.kron(np.eye(trunc ** x), m),
+                       np.eye(trunc ** (n_sites - x - 1)))
+        assert np.allclose(sys.apply_weyl(facs, v), kron @ v, atol=1e-12)
 
 
 def test_propagation_is_unitary_and_reverses():
@@ -353,7 +368,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         FockSystem(2, 8, Couplings(1.0, (1.0, 1.0)))
     with pytest.raises(ValueError):
-        FockSystem(4, 13, C11)  # 13^4 > dense-feasibility cap
+        FockSystem(4, 13, C11)  # 13^4 > MAX_DENSE_DIM
 
 
 def test_ring_distance():

@@ -226,6 +226,24 @@ def test_metric_validation_rejects_bad_tables():
         InteractionGraph(no_triangle, terms)
 
 
+def test_from_points_skips_only_the_triangle_scan(monkeypatch):
+    pts = [(0, 0), (2, -1), (1, 3), (-2, 2)]
+    terms = [({0, 1}, 1.0), ({1, 2, 3}, 0.5)]
+    full = InteractionGraph(l1_metric(pts), terms)
+
+    def scan(self):
+        raise AssertionError("triangle scan of an l1 metric")
+
+    monkeypatch.setattr(InteractionGraph, "_check_triangle", scan)
+    G = InteractionGraph.from_points(pts, terms)
+    assert np.array_equal(G.d, full.d) and G.terms == full.terms
+    # the O(n^2) checks still run: a repeated point has distance 0
+    with pytest.raises(ValueError, match="positive distance"):
+        InteractionGraph.from_points(pts + [pts[1]], terms)
+    with pytest.raises(ValueError, match="subsets"):
+        InteractionGraph.from_points(pts, [({0, 7}, 1.0)])
+
+
 def test_term_validation():
     d = l1_metric([(0,), (1,)])
     with pytest.raises(ValueError):
