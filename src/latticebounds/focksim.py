@@ -11,6 +11,13 @@ beyond the observables is formed.  H is real for every even potential
 under every tag, so the dense eigendecomposition, ARPACK (symmetric
 Lanczos) and the sweep run in real arithmetic.
 
+An even potential also commutes with the site parity (-1)^n under every
+tag, as the harmonic terms do, so H conserves the total parity
+(-1)^(sum_x n_x).  The local terms' entries that link opposite parities
+are then eigh round-off; they are set to exactly 0 and H holds none of
+them, and the dense eigendecomposition runs once per parity sector.  A
+potential that is not even keeps every entry, and H one sector.
+
 Commutator norms are measured on the span of the lowest-lying energy
 eigenvectors.  The truncated propagator is only faithful on states well
 below the truncation edge; the restricted norm converges as the per-site
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +65,16 @@ def _local_ops(n: int, omega0: float):
     q = (b + b.T) / np.sqrt(2.0 * omega0)
     p = 1j * np.sqrt(omega0 / 2.0) * (b.T - b)
     return q, p
+
+
+def _opposite_parity_blocks(m: np.ndarray, n: int,
+                            k: int) -> list[np.ndarray]:
+    """Views of the entries of a k-site term m (C-contiguous) that link
+    states of opposite parity: on the tensor view (n,)*2k of m, row
+    indices then column indices, those whose 2k indices have an odd sum."""
+    t = m.reshape((n,) * (2 * k))
+    return [t[tuple(slice(a, None, 2) for a in p)]
+            for p in product((0, 1), repeat=2 * k) if sum(p) % 2]
 
 
 def _matrix_function(h: np.ndarray, fn) -> np.ndarray:
@@ -239,13 +257,32 @@ class FockSystem:
         if pert.potential is not None and pert.tag == "bond":
             dq = np.kron(self.q1, eye) - np.kron(eye, self.q1)
             bond = bond + _matrix_function(dq, pert.potential)
+        scale = [np.max(np.abs(m)) for m in (onsite, bond)]
         # relative, so that the check holds at every energy scale
-        if any(np.max(np.abs(m - m.conj().T)) > 1e-10 * np.max(np.abs(m))
-               for m in (onsite, bond)):
+        if any(np.max(np.abs(m - m.conj().T)) > 1e-10 * s
+               for m, s in zip((onsite, bond), scale)):
             raise AssertionError("non-Hermitian assembly")
+        # an even V commutes with the site parity (-1)^n, as the harmonic
+        # terms do, so the entries that link opposite parities are eigh
+        # round-off.  Set to 0, which leaves the even part (m + PmP)/2,
+        # they drop out of H, and H is block-diagonal in the total parity
+        # (-1)^(sum_x n_x).  An odd V keeps every entry, and H one sector.
+        links = [_opposite_parity_blocks(onsite, n, 1),
+                 _opposite_parity_blocks(bond, n, 2)]
+        odd = [max(np.max(np.abs(b)) for b in blocks) for blocks in links]
+        self._sectors = [np.arange(self.dim)]
+        if all(o <= 1e-12 * s for o, s in zip(odd, scale)):
+            for blocks, o in zip(links, odd):
+                if o:  # in place, and only where there is round-off
+                    for b in blocks:
+                        b[...] = 0.0
+            # the parity of each state, in the row-major order of _embed
+            total = np.indices((n,) * self.n_sites).sum(0).ravel() % 2
+            self._sectors = [np.flatnonzero(total == 0),
+                             np.flatnonzero(total)]
         # V(p) of an even V is real up to eigh round-off (~1e-17)
-        if all(np.max(np.abs(m.imag)) <= 1e-12 * np.max(np.abs(m))
-               for m in (onsite, bond)):
+        if all(np.max(np.abs(m.imag)) <= 1e-12 * s
+               for m, s in zip((onsite, bond), scale)):
             onsite, bond = onsite.real, bond.real
         self._onsite = onsite
         self._bond = bond
@@ -279,13 +316,29 @@ class FockSystem:
     # -- spectra and states --------------------------------------------
 
     def eigensystem(self):
-        """Cached dense eigendecomposition (small dimensions only)."""
+        """Cached dense eigendecomposition (small dimensions only): one
+        eigh per parity sector, on that sector's block of the sparse H.
+        The energies ascend (a stable sort, so a tie keeps the even sector
+        first) and each eigenvector is supported in its sector's rows."""
         if self._eig is None:
             if self.dim > DENSE_EIG_DIM:
                 raise ValueError(
                     f"dense eigendecomposition disabled at dim {self.dim}; "
                     "use the matrix-free paths")
-            self._eig = np.linalg.eigh(self.hamiltonian().toarray())
+            h = self.hamiltonian()
+            parts = [np.linalg.eigh(h[idx][:, idx].toarray())
+                     for idx in self._sectors]
+            w = np.concatenate([wi for wi, _ in parts])
+            order = np.argsort(w, kind="stable")
+            # the column of each eigenpair, in sector order, once sorted
+            col = np.empty(self.dim, dtype=int)
+            col[order] = np.arange(self.dim)
+            v = np.zeros((self.dim, self.dim), h.dtype)
+            start = 0
+            for idx, (wi, vi) in zip(self._sectors, parts):
+                v[np.ix_(idx, col[start:start + len(wi)])] = vi
+                start += len(wi)
+            self._eig = w[order], v
         return self._eig
 
     def low_energy_basis(self, k: int) -> tuple[np.ndarray, np.ndarray]:

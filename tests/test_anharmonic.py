@@ -220,3 +220,29 @@ def test_momentum_and_bond_perturbations_obey_the_bound(n_sites, tag, alpha):
                                 times, b, pert, z_limit=True) \
             == pytest.approx(rhs, rel=1e-12)
     assert np.all(norms > 0) and np.all(rhs - norms >= 0)
+
+
+def test_distance_two_norms_obey_the_bound_and_grow_as_t_to_the_2d():
+    # the oracle at distance 2: a 4-ring (the L = 2 torus) with f at site
+    # 0 and g at site 2, gated from trunc 8 to trunc 12 (dim 20736, the
+    # oracle's cap).  At lambda = 0.5 and amplitude 0.5 the gate change is
+    # about 7e-6, a 14x margin on its 1e-4 tolerance.  The norms grow at
+    # least as t^(2d), the order of the harmonic bound's small-time form,
+    # and the Z^nu anharmonic bound dominates them.
+    c = Couplings(1.0, (0.5,))
+    b = AnharmonicBoundParams(1.0, 1.0, c)
+    pert = PerturbationSpec.gaussian(0.1)
+    times = np.array([0.05, 0.15, 0.3])
+    f, g = 0.5 * np.eye(4, dtype=complex)[[0, 2]]
+    sys = FockSystem(4, 8, c, perturbation=pert)
+    small = commutator_front(sys, f, g, times, n_low=4).norms
+    norms, change, ok = truncation_gate(sys, f, g, times, small, dn=4,
+                                        tol=1e-4, n_low=4)
+    assert ok, f"gate change {change:.2e} exceeds 1e-4"
+    d = ring_distance(4, 0, 2)
+    slopes = np.diff(np.log(norms)) / np.diff(np.log(times))
+    assert np.all(slopes >= 2 * d), slopes
+    lat = TorusLattice(1, 2)
+    rhs = anharm_bound_rhs(WeylFunction(lat, f), WeylFunction(lat, g),
+                           times, b, pert, z_limit=True)
+    assert np.all(norms > 0) and np.all(rhs - norms >= 0)

@@ -78,19 +78,20 @@ def _kron_hamiltonian(sys):
         return np.kron(np.kron(np.eye(n ** x), op), np.eye(n ** (N - x - 1)))
 
     pert = sys.perturbation
+    tag = pert.tag if pert.potential is not None else None
     c = sys.couplings
     h = np.zeros((sys.dim, sys.dim), complex)
     for x in range(N):
         q, p = at(sys.q1, x), at(sys.p1, x)
         h += p @ p + c.omega ** 2 * (q @ q)
-        if pert.tag == "site":
+        if tag == "site":
             h += _spectral(q, pert.potential)
-        if pert.tag == "site_p":
+        if tag == "site_p":
             h += _spectral(p, pert.potential)
     for i, j in sys.bonds():
         dq = at(sys.q1, i) - at(sys.q1, j)
         h += c.lam[0] * (dq @ dq)
-        if pert.tag == "bond":
+        if tag == "bond":
             h += _spectral(dq, pert.potential)
     return h
 
@@ -129,6 +130,59 @@ def test_odd_momentum_potential_keeps_a_complex_hermitian_hamiltonian():
     assert np.iscomplexobj(h) and np.max(np.abs(h.imag)) > 1e-3
     assert np.allclose(h, h.conj().T, atol=1e-12)
     assert np.max(np.abs(h - _kron_hamiltonian(sys))) < 1e-12
+
+
+def _total_parity(sys):
+    """(-1)^(sum_x n_x) of each basis state as 0 or 1, counted digit by
+    digit from the row-major index."""
+    idx = np.arange(sys.dim)
+    return sum(idx // sys.trunc ** x % sys.trunc
+               for x in range(sys.n_sites)) % 2
+
+
+EVEN_POTENTIALS = [None] + [
+    spec for tag in ("site", "site_p", "bond")
+    for spec in (PerturbationSpec.gaussian(0.3, tag),
+                 PerturbationSpec.cosine(0.2, 1.5, tag))]
+
+
+@pytest.mark.parametrize("n_sites, trunc, geometry",
+                         [(3, 7, "ring"), (2, 8, "chain")])
+@pytest.mark.parametrize("pert", EVEN_POTENTIALS,
+                         ids=lambda p: p.name + "_" + p.tag if p else "zero")
+def test_even_potentials_keep_the_total_parity(n_sites, trunc, geometry,
+                                               pert):
+    # H links no two states of opposite parity, and eigensystem() is the
+    # full spectrum, each eigenvector in one sector
+    sys = FockSystem(n_sites, trunc, Couplings(1.0, (0.7,)),
+                     geometry=geometry, perturbation=pert)
+    par = _total_parity(sys)
+    h = sys.hamiltonian().tocoo()
+    assert np.array_equal(par[h.row], par[h.col])
+    ref = _kron_hamiltonian(sys)
+    assert np.max(np.abs(h.toarray() - ref)) < 1e-12
+    w, v = sys.eigensystem()
+    exact = np.linalg.eigvalsh(ref)
+    assert np.max(np.abs(w - exact)) <= 1e-12 * np.max(np.abs(exact))
+    even = np.any(v[par == 0] != 0, axis=0)
+    odd = np.any(v[par == 1] != 0, axis=0)
+    assert np.all(even != odd)
+    assert np.count_nonzero(even) == np.count_nonzero(par == 0)
+
+
+def test_odd_potential_keeps_every_entry_in_one_sector():
+    sys = FockSystem(3, 6, C11, perturbation=ODD_P)
+    par = _total_parity(sys)
+    h = sys.hamiltonian().toarray()
+    assert np.max(np.abs(h[np.ix_(par == 0, par == 1)])) > 1e-3
+    assert len(sys._sectors) == 1
+    w, v = sys.eigensystem()
+    exact = np.linalg.eigvalsh(_kron_hamiltonian(sys))
+    assert np.max(np.abs(w - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert np.max(np.abs(h @ v - v * w)) < 1e-10
+    # the odd potential mixes the parities in its eigenvectors
+    weights = [np.linalg.norm(v[par == k], axis=0) for k in (0, 1)]
+    assert np.max(np.minimum(*weights)) > 0.1
 
 
 @pytest.mark.parametrize("block", [(), (3,)], ids=["vector", "columns"])
