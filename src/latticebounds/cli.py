@@ -147,7 +147,7 @@ SCHEMAS = {model: _obj({"schema_version": _choice(SCHEMA_VERSION),
                 "times": _times, "m": (_list(_choice(-1, 0, 1)), [0, 1, -1]),
                 "mu": (_float, None)},
     "evolve": {"lattice": _LATTICE, "couplings": _COUPLINGS,
-               "times": _times, "f": _WEYL, "zero_omega": (_BOOL, False)},
+               "times": _times, "f": _WEYL},
     "commutator": {"lattice": _LATTICE, "couplings": _COUPLINGS,
                    "times": _times, "f": _WEYL, "g": _WEYL, "mu": _float,
                    "a": (_float, None)},
@@ -355,11 +355,9 @@ def cmd_evolve(cfg: dict, outdir: str) -> int:
     from .weyl import _evolved
     lat = _build_lattice(cfg["lattice"])
     c = _build_couplings(cfg["couplings"], lat.nu)
-    if cfg["zero_omega"] != (c.omega == 0.0):
-        raise ScenarioError("zero_omega must be set exactly when omega = 0")
     f = _build_weyl(lat, cfg["f"])
     times = cfg["times"]
-    values = _evolved(f, times, c, cfg["zero_omega"])
+    values = _evolved(f, times, c, c.omega == 0.0)
     labels = [" ".join(map(str, x)) for x in lat.sites.tolist()]
     write_csv(os.path.join(outdir, "evolve.csv"),
               {"t": np.repeat(times, lat.n_sites), "site": labels * len(times),
@@ -378,7 +376,8 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
     times, a = cfg["times"], cfg["a"]
     p = HarmonicBoundParams(cfg["mu"], c, a)
     r = support_distance(f, g)
-    exact = commutator_norm_exact(f, g, times, couplings=c)
+    exact = commutator_norm_exact(f, g, times, couplings=c,
+                                  zero_omega=c.omega == 0.0)
     thm = harmonic_bound_rhs(f, g, times, p, form="theorem")
     cor = (harmonic_bound_rhs(f, g, times, p, form="corollary")
            if a is not None else [float("nan")] * len(times))

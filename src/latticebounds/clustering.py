@@ -48,7 +48,7 @@ def ground_covariance(lat: TorusLattice, c: Couplings) -> GroundStateCovariance:
     if c.omega <= 0:
         raise ZeroDivisionError(
             "ground-state covariance diverges at the zero mode for omega = 0")
-    gam = np.atleast_1d(dispersion(c, lat.dual))
+    gam = dispersion(c, lat.dual)
     qq = lat.ifft(0.5 / gam)
     pp = lat.ifft(0.5 * gam)
     # relative to the sums, which scale with gamma

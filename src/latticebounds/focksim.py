@@ -342,13 +342,13 @@ class FockSystem:
         return self._eig
 
     def low_energy_basis(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest energies, ascending, and orthonormal eigenvector
-        columns for them (cached per k).  Above DENSE_EIG_DIM they come
-        from ARPACK's symmetric Lanczos driver when H is real; its start
-        vector is seeded, so repeated runs give the same basis."""
-        if k < 1:
-            raise ValueError("the low-energy basis needs k >= 1")
-        k = min(k, self.dim if self.dim <= DENSE_EIG_DIM else self.dim - 2)
+        """The 1 <= k <= dim - 2 lowest energies, ascending, and orthonormal
+        eigenvector columns for them (cached per k).  Above DENSE_EIG_DIM
+        they come from ARPACK's symmetric Lanczos driver when H is real; its
+        start vector is seeded, so repeated runs give the same basis."""
+        if not 1 <= k <= self.dim - 2:
+            raise ValueError(f"the low-energy basis needs 1 <= k <= dim - 2"
+                             f" = {self.dim - 2}, got {k}")
         if k not in self._low:
             if self.dim <= DENSE_EIG_DIM:
                 w, v = self.eigensystem()
@@ -504,8 +504,12 @@ def truncation_gate(sys: FockSystem, f: np.ndarray, g: np.ndarray,
                     tgrid, norms, dn: int = 4, tol: float = 1e-4,
                     n_low: int = 20) -> tuple[np.ndarray, float, bool]:
     """Convergence gate: recompute the commutator norms with the per-site
-    dimension raised by dn, compare them with `norms` (those of sys on
-    tgrid, from commutator_front); report (refined, max change, pass)."""
+    dimension raised by dn >= 1, compare them with `norms` (those of sys
+    on tgrid, from commutator_front); report (refined, max change, pass),
+    a pass when the largest *absolute* change is below tol > 0 (README)."""
+    if dn < 1 or not tol > 0:
+        raise ValueError(f"the gate needs dn >= 1 and tol > 0, got dn = "
+                         f"{dn}, tol = {tol}")
     tgrid = np.asarray(tgrid, dtype=float)
     norms = np.asarray(norms, dtype=float)
     if norms.shape != tgrid.shape:

@@ -32,16 +32,13 @@ class DecayFunction:
             raise ValueError("a must be >= 0")
 
     def f(self, r: float) -> float:
-        fa = float(np.exp(-self.a * r) * self.base(r))
-        if not fa > 0:
-            raise ValueError(f"F_a({r}) = {fa} is not positive")
-        return fa
+        return float(self.table(r))
 
     def table(self, d: np.ndarray) -> np.ndarray:
-        """F_a over an array of distances, with the same positivity check.
-        A value that underflows to 0 is refused too: it would turn the
-        convolution constant C_a into 0/0, and skipping it would
-        underestimate C_a."""
+        """F_a over an array of distances (or at one distance).  A value
+        that is not positive raises ValueError, also one that underflows
+        to 0: it would turn the convolution constant C_a into 0/0, and
+        skipping it would underestimate C_a."""
         fa = np.exp(-self.a * d) * np.broadcast_to(self.base(d), np.shape(d))
         bad = ~(fa > 0)
         if np.any(bad):

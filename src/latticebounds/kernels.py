@@ -64,7 +64,7 @@ def _weights(lat: TorusLattice, c: Couplings, m: int, t) -> np.ndarray:
     (omega = 0) with m = -1 raises ZeroDivisionError."""
     if m not in (-1, 0, 1):
         raise ValueError("m must be one of -1, 0, 1")
-    gam = np.atleast_1d(dispersion(c, lat.dual))
+    gam = dispersion(c, lat.dual)
     if m == -1 and np.any(gam == 0.0):
         raise ZeroDivisionError(
             "singular mode: gamma(k) = 0 at k = 0 (omega = 0 with m = -1)")
@@ -113,7 +113,7 @@ def _evolution_multipliers(lat: TorusLattice, c: Couplings, t,
             "singular mode: k = 0 requires zero_omega=True when omega = 0")
     if c.omega > 0 and zero_omega:
         raise ValueError("zero_omega=True requires omega = 0")
-    gam = np.atleast_1d(dispersion(c, lat.dual))
+    gam = dispersion(c, lat.dual)
     t = np.asarray(t, dtype=float)[..., None]
     gs = gam * np.sin(2.0 * gam * t)
     s = 2.0 * t * np.sinc(2.0 * gam * t / np.pi)  # sin(2 gamma t) / gamma

@@ -82,10 +82,7 @@ class TorusLattice:
         """Flat index of site x under the canonical row-major enumeration."""
         x = np.asarray(x, dtype=np.int64)
         self._check_site(x)
-        idx = 0
-        for c in x:
-            idx = idx * self.side + (int(c) + self.L - 1)
-        return idx
+        return int(np.ravel_multi_index(tuple(x + self.L - 1), self._shape))
 
     def _check_site(self, x):
         x = np.atleast_2d(x)
@@ -161,15 +158,16 @@ class TorusLattice:
         return f"TorusLattice(nu={self.nu}, L={self.L})"
 
 
-def dispersion(c: Couplings, k) -> np.ndarray:
+def dispersion(c: Couplings, k) -> float | np.ndarray:
     """Mode frequency gamma(k) = sqrt(omega^2 + 4 sum_j lambda_j sin^2(k_j/2)).
 
-    k may be a single dual point (shape (nu,)) or an array of them.
+    k is one dual point (shape (nu,)), giving a float, or an (n, nu)
+    array of them, giving n values.
     Even in each component; maximum over the dual grid is c.c_max.
     """
-    k = np.atleast_2d(np.asarray(k, dtype=float))
+    k = np.atleast_1d(np.asarray(k, dtype=float))
     if k.shape[-1] != c.nu:
         raise ValueError("dual point dimension does not match couplings")
     lam = np.asarray(c.lam)
     g = np.sqrt(c.omega**2 + 4.0 * np.sum(lam * np.sin(k / 2.0) ** 2, axis=-1))
-    return g if g.size > 1 else float(g[0])
+    return g if k.ndim > 1 else float(g)

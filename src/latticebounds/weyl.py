@@ -108,7 +108,7 @@ def evolve_mode_space(f: WeylFunction, t: float, c: Couplings) -> WeylFunction:
     """
     lat = f.lattice
     n = lat.n_sites
-    gam = np.atleast_1d(dispersion(c, lat.dual))
+    gam = dispersion(c, lat.dual)
     if np.any(gam == 0):
         raise ZeroDivisionError("mode-space oracle requires omega > 0")
     # forward transforms R(k) = N^(-1/2) sum_x e^{ikx} Re f_x, same for Im

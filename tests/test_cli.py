@@ -15,6 +15,7 @@ import pytest
 from latticebounds import genbounds, weyl
 from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                                main, write_csv)
+from latticebounds.torus import Couplings, TorusLattice
 
 
 def scenario(tmp_path, name, payload):
@@ -274,11 +275,17 @@ MALFORMED = [
     ("anharm", ("z_limit",), "no"),
     ("focksim", ("n_low",), 0),
     ("genbound", ("X",), [-1]),
+    ("focksim", ("gate",), {"dn": 0}),
+    ("evolve", ("zero_omega",), False),
+    ("focksim", ("n_low",), 255),
     # exit 1 before as well
     ("kernels", ("times",), [0.5, NAN]),
     ("kernels", ("couplings", "lambda"), ["x"]),
     ("kernels", ("couplings", "omega"), None),
     ("genbound", ("terms",), 5),
+    # exit 2 before, as a failed truncation gate
+    ("focksim", ("gate",), {"dn": -4}),
+    ("focksim", ("gate",), {"tol": 0.0}),
 ]
 
 
@@ -526,6 +533,34 @@ def test_bound_inside_the_float_range_exits_0_with_finite_cells(tmp_path):
         rc, err = run_cli(["commutator", "--config", cfg, "--out", str(out)])
     assert (rc, err, seen) == (EXIT_OK, [], [])
     assert nonfinite_cells(out) == []
+
+
+def test_commutator_and_evolve_run_at_omega_zero(tmp_path):
+    # the k = 0 mode is a free particle, derived from omega alone
+    rc, err = run_cli(["commutator", "--config", scenario(
+        tmp_path, "c.json", mutated("commutator", ("couplings", "omega"),
+                                    0.0)), "--out", str(tmp_path / "c")])
+    assert (rc, err) == (EXIT_OK, [])
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "c" / "commutator.csv").read_text()
+                     .splitlines()]
+    table = np.array(rows, dtype=float)
+    exact = table[:, header.index("exact_norm")]
+    assert len(exact) == 50 and np.max(exact) > 1e-3
+    for bound in ("bound_theorem", "bound_corollary"):
+        assert np.all(exact <= table[:, header.index(bound)] + 1e-12)
+    cfg = mutated("evolve", ("couplings", "omega"), 0.0)
+    rc, err = run_cli(["evolve", "--config", scenario(tmp_path, "e.json", cfg),
+                       "--out", str(tmp_path / "e")])
+    assert (rc, err) == (EXIT_OK, [])
+    lat = TorusLattice(cfg["lattice"]["nu"], cfg["lattice"]["L"])
+    f = weyl.WeylFunction.from_sites(
+        lat, [(e["site"], e["re"] + 1j * e["im"]) for e in cfg["f"]])
+    c = Couplings(0.0, tuple(cfg["couplings"]["lambda"]))
+    expect = [f"{z.real:.12g},{z.imag:.12g}" for t in cfg["times"]
+              for z in weyl.evolve(f, t, c, zero_omega=True).values.tolist()]
+    lines = (tmp_path / "e" / "evolve.csv").read_text().splitlines()[1:]
+    assert [line.split(",", 2)[2] for line in lines] == expect  # re_f,im_f
 
 
 def test_anharm_corollary_on_z6_uses_the_true_zeta_sum(tmp_path):

@@ -443,3 +443,23 @@ def test_hermiticity_check_holds_at_every_scale():
     sys = FockSystem(2, 6, C11,
                      perturbation=PerturbationSpec.gaussian(1e300))
     assert sys.dim == 36
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["dense", "matrix_free"])
+@pytest.mark.parametrize("pert", [None, ODD_P], ids=["real", "complex"])
+def test_low_energy_basis_takes_up_to_dim_minus_two_in_both_regimes(
+        monkeypatch, free, pert):
+    sys = FockSystem(2, 4, C11, perturbation=pert)
+    w_all = np.linalg.eigvalsh(sys.hamiltonian().toarray())
+    if free:
+        monkeypatch.setattr(focksim, "DENSE_EIG_DIM", sys.dim - 1)
+    k = sys.dim - 2
+    w, b = sys.low_energy_basis(k)
+    assert b.shape == (sys.dim, k)
+    assert np.max(np.abs(b.conj().T @ b - np.eye(k))) < 1e-12
+    assert np.max(np.abs(sys.hamiltonian() @ b - b * w)) < 1e-10
+    assert np.allclose(w, w_all[:k], rtol=0, atol=1e-10)
+    for bad in (sys.dim - 1, sys.dim):
+        with pytest.raises(ValueError, match="1 <= k <= dim - 2 = 14"):
+            sys.low_energy_basis(bad)
+    assert sys._eig is None if free else sys._eig is not None

@@ -292,3 +292,20 @@ def test_power_law_zeta_needs_its_tail_nodes():
         power_law_zeta(1001)
     with pytest.raises(ValueError):
         power_law_zeta(10 ** 7)
+
+
+def test_decay_value_is_the_table_at_one_distance():
+    F = power_law(2.5).with_a(0.3)
+    for r in (0, 1, 2.5, np.float64(7.0), 40):
+        assert F.f(r) == F.table(r) and type(F.f(r)) is float
+    assert np.array_equal(F.table(np.arange(6.0)),
+                          [F.f(r) for r in range(6)])
+    # e^(-800 r) underflows to 0 from r = 1 on
+    far = power_law(2.0).with_a(800.0)
+    for r in (1, 2.5):
+        with pytest.raises(ValueError) as by_f:
+            far.f(r)
+        with pytest.raises(ValueError) as by_table:
+            far.table(r)
+        assert str(by_f.value) == str(by_table.value) == \
+            f"F_a({r}) = 0.0 is not positive"

@@ -169,3 +169,29 @@ def test_fft_and_ifft_batch_leading_axes_bitwise(nu, L):
         rows = np.array([[transform(r) for r in block] for block in v])
         assert np.array_equal(transform(v), rows)
     assert np.array_equal(lat.from_grid(lat.to_grid(v)), v)
+
+
+@pytest.mark.parametrize("nu,L", [(1, 5), (2, 3), (3, 2)])
+def test_index_roundtrip_and_errors_in_every_dimension(nu, L):
+    lat = TorusLattice(nu, L)
+    assert [lat.index(x) for x in lat.sites] == list(range(lat.n_sites))
+    assert all(type(lat.index(x)) is int for x in lat.sites[:3])
+    for wrong in ([0] * (nu + 1), [0] * (nu - 1)):
+        with pytest.raises(ValueError, match=f"must have {nu} coordinates"):
+            lat.index(wrong)
+    for out in (L + 1, -L):
+        with pytest.raises(ValueError, match=r"must lie in \(-"):
+            lat.index([0] * (nu - 1) + [out])
+
+
+def test_dispersion_type_follows_the_shape_of_k():
+    c = Couplings(0.5, (1.0, 0.3))
+    one = dispersion(c, np.array([0.4, -1.0]))
+    assert type(one) is float
+    for n in (1, 2, 5):
+        k = np.linspace(-3.0, 3.0, 2 * n).reshape(n, 2)
+        gam = dispersion(c, k)
+        assert isinstance(gam, np.ndarray) and gam.shape == (n,)
+        assert [dispersion(c, row) for row in k] == gam.tolist()
+    with pytest.raises(ValueError, match="dimension"):
+        dispersion(c, np.array([0.4]))
