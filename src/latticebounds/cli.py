@@ -7,8 +7,9 @@ schema in SCHEMAS, the one typed reader: exact types (a float field takes
 a finite number, an int field never a bool or a float), required and
 unknown keys at every level, defaults filled in.  A config's lattice may
 have at most MAX_SITES sites, and so may the tables that grow as the
-square of a config: genbound's n x n metric and the |X| x |Y| support
-pairs of commutator and anharm.  Outputs are static SVG plots and CSV tables
+square of a config: genbound's n x n metric, the |X| x |Y| support
+pairs of commutator and anharm, and focksim's trunc^2 x trunc^2 bond
+potential.  Outputs are static SVG plots and CSV tables
 (`write_csv`): floats as %.12g, integers and labels as text, and nan in
 the columns the README lists where a value does not apply.
 
@@ -482,15 +483,26 @@ def cmd_anharm(cfg: dict, outdir: str) -> int:
 
 def cmd_focksim(cfg: dict, outdir: str) -> int:
     import numpy as np
-    from .focksim import FockSystem, commutator_front, truncation_gate
+    from .focksim import (FockSystem, check_gate, commutator_front,
+                          truncation_gate)
+    times, n_low, gate = cfg["times"], cfg["n_low"], cfg["gate"]
+    if gate is not None:
+        check_gate(gate["dn"], gate["tol"])
+    pert = _build_perturbation(cfg["perturbation"])
+    # a bond potential is a dense trunc^2 x trunc^2 table, and the gate's
+    # (dn >= 1) is the larger one
+    n = cfg["trunc"] + (gate["dn"] if gate is not None else 0)
+    if pert.potential is not None and pert.tag == "bond" and \
+            n ** 4 > MAX_SITES:
+        raise ScenarioError(f"trunc {n}: the bond potential's {n * n} x "
+                            f"{n * n} table exceeds the budget of "
+                            f"{MAX_SITES}")
     sys_ = FockSystem(cfg["n_sites"], cfg["trunc"],
                       _build_couplings(cfg["couplings"], 1),
-                      geometry=cfg["geometry"],
-                      perturbation=_build_perturbation(cfg["perturbation"]))
+                      geometry=cfg["geometry"], perturbation=pert)
     if len(cfg["f"]) != sys_.n_sites or len(cfg["g"]) != sys_.n_sites:
         raise ScenarioError("f and g must list one [re, im] pair per site")
     f, g = np.array(cfg["f"]), np.array(cfg["g"])
-    times, n_low, gate = cfg["times"], cfg["n_low"], cfg["gate"]
     front = commutator_front(sys_, f, g, times, n_low=n_low)
     refined = np.full(len(times), float("nan"))
     if gate is not None:

@@ -80,7 +80,7 @@ class TorusLattice:
 
     def index(self, x) -> int:
         """Flat index of site x under the canonical row-major enumeration."""
-        x = np.asarray(x, dtype=np.int64)
+        x = np.array(x, dtype=np.int64, ndmin=1)
         self._check_site(x)
         return int(np.ravel_multi_index(tuple(x + self.L - 1), self._shape))
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latticebounds import genbounds, weyl
+from latticebounds import focksim, genbounds, weyl
 from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                                main, write_csv)
 from latticebounds.torus import Couplings, TorusLattice
@@ -160,6 +160,19 @@ def test_focksim_gate_failure_is_a_numerical_error(tmp_path):
         == EXIT_NUMERICAL
 
 
+def test_focksim_refuses_a_bad_gate_before_the_oracle_runs(tmp_path,
+                                                           monkeypatch):
+    def never(self):
+        raise AssertionError("the oracle ran")
+    monkeypatch.setattr(focksim.FockSystem, "hamiltonian", never)
+    for gate in ({"dn": 0}, {"tol": 0.0}):
+        cfg = scenario(tmp_path, "f.json", mutated("focksim", ("gate",), gate))
+        rc, err = run_cli(["focksim", "--config", cfg, "--out",
+                           str(tmp_path)])
+        assert rc == EXIT_VALIDATION
+        assert len(err) == 1 and "the gate needs dn >= 1" in err[0], err
+
+
 def test_focksim_scenario_writes_tables(tmp_path):
     cfg = scenario(tmp_path, "f.json", {
         "schema_version": 1, "model": "focksim",
@@ -248,7 +261,11 @@ def run_cli(argv):
 
 
 def mutated(model, path, value):
+    """The reference config of model with value at the key path; the empty
+    path merges a dict of top-level keys."""
     cfg = copy.deepcopy(REFS[model])
+    if not path:
+        return {**cfg, **value}
     obj = cfg
     for key in path[:-1]:
         obj = obj[key]
@@ -257,6 +274,7 @@ def mutated(model, path, value):
 
 
 INF, NAN = float("inf"), float("nan")
+BOND = {"type": "gaussian", "alpha": 0.1, "tag": "bond"}
 MALFORMED = [
     # tracebacks before the typed reader
     ("kernels", ("times",), [0, INF]),
@@ -286,6 +304,10 @@ MALFORMED = [
     # exit 2 before, as a failed truncation gate
     ("focksim", ("gate",), {"dn": -4}),
     ("focksim", ("gate",), {"tol": 0.0}),
+    # a bond potential's trunc^2 x trunc^2 table over the budget, at trunc
+    # and at the gate's trunc + dn
+    ("focksim", (), {"trunc": 144, "perturbation": BOND}),
+    ("focksim", (), {"trunc": 30, "perturbation": BOND}),
 ]
 
 

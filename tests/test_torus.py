@@ -182,6 +182,13 @@ def test_index_roundtrip_and_errors_in_every_dimension(nu, L):
     for out in (L + 1, -L):
         with pytest.raises(ValueError, match=r"must lie in \(-"):
             lat.index([0] * (nu - 1) + [out])
+    # a 0-d coordinate is a site of a chain, as in distance
+    if nu == 1:
+        assert lat.index(0) == lat.index([0]) == L - 1
+        assert lat.index(np.int64(L)) == lat.n_sites - 1
+    else:
+        with pytest.raises(ValueError, match=f"must have {nu} coordinates"):
+            lat.index(0)
 
 
 def test_dispersion_type_follows_the_shape_of_k():
