@@ -239,16 +239,35 @@ def _build_perturbation(cfg: dict | None):
 
 # ---------------------------------------------------------------- output
 
+_CSV_BLOCK = 4096  # rows formatted, and held as Python objects, at a time
+
+
 def write_csv(path: str, columns: dict) -> None:
-    """Stream {header: column} as CSV rows; columns are 1-D, one type each."""
+    """Write {header: column} as CSV rows; columns are 1-D, one type each.
+
+    Each block of rows is one `%` of the row format repeated over the
+    block's cells in row-major order, so the formatting loop runs in C
+    with the same %.12g and %s as a row at a time, and only one block's
+    cells exist as Python objects.
+    """
     import numpy as np
     cols = [np.asarray(c) for c in columns.values()]
-    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s"
+    lengths = {len(c) for c in cols}
+    if len(lengths) > 1:
+        raise ValueError(f"{os.path.basename(path)}: columns differ in "
+                         "length: " + ", ".join(
+                             f"{k} {len(c)}" for k, c in zip(columns, cols)))
+    k, n = len(cols), max(lengths, default=0)
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%s"
                    for c in cols) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in cols),
-                                               strict=True))
+        for s in range(0, n, _CSV_BLOCK):
+            m = min(_CSV_BLOCK, n - s)
+            cells = [None] * (k * m)
+            for j, c in enumerate(cols):
+                cells[j::k] = c[s:s + m].tolist()
+            fh.write((row * m) % tuple(cells))
 
 
 _PALETTE = ["#1f6f8b", "#c1403d", "#3d8c40", "#8a5ec2", "#c58a1f",
@@ -261,32 +280,36 @@ def write_svg(path: str, series: list[dict], xlabel: str, ylabel: str,
 
     Each series is a dict with keys name, x, y (and may be tagged as an
     envelope in its name); ordering and formatting are deterministic.
+    The pixel coordinates of a series are computed as arrays by the same
+    IEEE operations as point by point (the logarithm stays math.log10,
+    since np.log10 may differ from it in the last bit), and each polyline
+    is one `%` of "%.2f,%.2f" repeated over its points, so the formatting
+    loop runs in C.
     """
     import math
+    import numpy as np
     if not series:
         raise ScenarioError(f"refusing to write empty plot to {path}")
+    xy = []
+    for s in series:
+        x, y = np.asarray(s["x"], float), np.asarray(s["y"], float)
+        if x.shape != y.shape:
+            raise ValueError(f"{os.path.basename(path)}: series "
+                             f"{s['name']!r} has {x.size} x and {y.size} y")
+        xy.append((x, y))
     W, H, ml, mr, mt, mb = 800, 500, 70, 160, 30, 50
     # non-finite points (an unreached r) are not drawn
-    xs_all = [x for s in series for x in s["x"] if math.isfinite(x)] or [0.0]
-    ys_all = [max(abs(y), floor) for s in series for y in s["y"]
-              if math.isfinite(y)] or [floor]
-    x0, x1 = min(xs_all), max(xs_all)
+    xs = np.concatenate([x[np.isfinite(x)] for x, _ in xy])
+    ys = np.maximum(np.abs(np.concatenate([y[np.isfinite(y)]
+                                           for _, y in xy])), floor)
+    x0, x1 = (xs.min(), xs.max()) if xs.size else (0.0, 0.0)
+    y0, y1 = (ys.min(), ys.max()) if ys.size else (floor, floor)
     if logy:
-        y0 = math.floor(math.log10(min(ys_all)))
-        y1 = math.ceil(math.log10(max(ys_all)))
-    else:
-        y0, y1 = min(ys_all), max(ys_all)
+        y0, y1 = math.floor(math.log10(y0)), math.ceil(math.log10(y1))
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-
-    def px(x):
-        return ml + (x - x0) / (x1 - x0) * (W - ml - mr)
-
-    def py(y):
-        v = math.log10(max(abs(y), floor)) if logy else y
-        return H - mb - (v - y0) / (y1 - y0) * (H - mt - mb)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
              f'height="{H}" viewBox="0 0 {W} {H}">',
@@ -300,11 +323,18 @@ def write_svg(path: str, series: list[dict], xlabel: str, ylabel: str,
              f'<text x="18" y="{(H - mb + mt) / 2:.1f}" font-size="14" '
              f'transform="rotate(-90 18 {(H - mb + mt) / 2:.1f})" '
              f'text-anchor="middle">{ylabel}</text>']
-    for i, s in enumerate(series):
+    for i, (s, (x, y)) in enumerate(zip(series, xy)):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
-                       for x, y in zip(s["x"], s["y"])
-                       if math.isfinite(x) and math.isfinite(y))
+        drawn = np.isfinite(x) & np.isfinite(y)
+        x, y = x[drawn], y[drawn]
+        if logy:
+            y = np.fromiter(map(math.log10,
+                                np.maximum(np.abs(y), floor).tolist()),
+                            float, len(y))
+        px = ml + (x - x0) / (x1 - x0) * (W - ml - mr)
+        py = H - mb - (y - y0) / (y1 - y0) * (H - mt - mb)
+        pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(
+            np.column_stack((px, py)).ravel().tolist())
         dash = ' stroke-dasharray="6,4"' if "envelope" in s["name"] else ""
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"{dash}/>')
@@ -489,11 +519,11 @@ def cmd_focksim(cfg: dict, outdir: str) -> int:
     if gate is not None:
         check_gate(gate["dn"], gate["tol"])
     pert = _build_perturbation(cfg["perturbation"])
-    # a bond potential is a dense trunc^2 x trunc^2 table, and the gate's
-    # (dn >= 1) is the larger one
+    # a bond potential is a dense trunc^2 x trunc^2 table on each bond of
+    # two or more sites, and the gate's (dn >= 1) is the larger one
     n = cfg["trunc"] + (gate["dn"] if gate is not None else 0)
     if pert.potential is not None and pert.tag == "bond" and \
-            n ** 4 > MAX_SITES:
+            cfg["n_sites"] >= 2 and n ** 4 > MAX_SITES:
         raise ScenarioError(f"trunc {n}: the bond potential's {n * n} x "
                             f"{n * n} table exceeds the budget of "
                             f"{MAX_SITES}")

@@ -246,17 +246,19 @@ class FockSystem:
             onsite = onsite + _matrix_function(self.q1, pert.potential)
         if pert.potential is not None and pert.tag == "site_p":
             onsite = onsite + _matrix_function(self.p1, pert.potential)
+        terms = [sp.coo_array(onsite)]
         # lam (q_i - q_j)^2 = lam (q^2 x 1 + 1 x q^2 - 2 q x q) on a pair,
         # about 9 n^2 entries of n^4; only a bond potential V(q_i - q_j)
-        # is a dense n^2 x n^2 table
-        q, q2 = sp.csr_array(self.q1), sp.csr_array(q2)
-        eye = sp.eye_array(n, format="csr")
-        bond = lam * (sp.kron(q2, eye) + sp.kron(eye, q2)
-                      - 2.0 * sp.kron(q, q))
-        if pert.potential is not None and pert.tag == "bond":
-            dq = np.kron(self.q1, np.eye(n)) - np.kron(np.eye(n), self.q1)
-            bond = bond + _matrix_function(dq, pert.potential)
-        terms = [sp.coo_array(onsite), sp.coo_array(bond)]
+        # is a dense n^2 x n^2 table.  One site has no pair and no term.
+        if self.bonds():
+            q, q2 = sp.csr_array(self.q1), sp.csr_array(q2)
+            eye = sp.eye_array(n, format="csr")
+            bond = lam * (sp.kron(q2, eye) + sp.kron(eye, q2)
+                          - 2.0 * sp.kron(q, q))
+            if pert.potential is not None and pert.tag == "bond":
+                dq = np.kron(self.q1, np.eye(n)) - np.kron(np.eye(n), self.q1)
+                bond = bond + _matrix_function(dq, pert.potential)
+            terms.append(sp.coo_array(bond))
         # relative, so that the checks hold at every energy scale
         scale = [np.max(np.abs(m.data), initial=0.0) for m in terms]
         if any(np.max(np.abs((m - m.conj().T).data), initial=0.0) > 1e-10 * s
@@ -288,7 +290,7 @@ class FockSystem:
             terms = [m.real for m in terms]
         for m in terms:
             m.eliminate_zeros()
-        self._onsite, self._bond = terms
+        self._onsite, self._bond = (terms + [None])[:2]
 
     def _embed(self, op: sp.coo_array,
                sites: tuple[int, ...]) -> sp.csr_array:

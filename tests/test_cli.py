@@ -2,19 +2,22 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import pathlib
 import random
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from latticebounds import focksim, genbounds, weyl
-from latticebounds.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                               main, write_csv)
+from latticebounds.cli import (_CSV_BLOCK, _PALETTE, EXIT_NUMERICAL,
+                               EXIT_OK, EXIT_VALIDATION, ScenarioError, main,
+                               write_csv, write_svg)
 from latticebounds.torus import Couplings, TorusLattice
 
 
@@ -79,6 +82,194 @@ def test_write_csv_cell_contract(tmp_path):
     # an empty table keeps its header (the lightcone no-crossing front)
     write_csv(str(path), {"threshold": np.array([]), "r": []})
     assert path.read_text() == "threshold,r\n"
+
+
+def _rowwise_csv(path, columns):
+    """The row-at-a-time writer the blocked `write_csv` replaced, kept as
+    its byte oracle."""
+    cols = [np.asarray(c) for c in columns.values()]
+    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s"
+                   for c in cols) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(fmt % row for row in zip(*(c.tolist() for c in cols),
+                                               strict=True))
+
+
+def _pointwise_svg(path, series, xlabel, ylabel, logy=True, floor=1e-18):
+    """The point-at-a-time writer the array `write_svg` replaced, kept as
+    its byte oracle."""
+    if not series:
+        raise ScenarioError(f"refusing to write empty plot to {path}")
+    W, H, ml, mr, mt, mb = 800, 500, 70, 160, 30, 50
+    xs_all = [x for s in series for x in s["x"] if math.isfinite(x)] or [0.0]
+    ys_all = [max(abs(y), floor) for s in series for y in s["y"]
+              if math.isfinite(y)] or [floor]
+    x0, x1 = min(xs_all), max(xs_all)
+    if logy:
+        y0 = math.floor(math.log10(min(ys_all)))
+        y1 = math.ceil(math.log10(max(ys_all)))
+    else:
+        y0, y1 = min(ys_all), max(ys_all)
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+
+    def px(x):
+        return ml + (x - x0) / (x1 - x0) * (W - ml - mr)
+
+    def py(y):
+        v = math.log10(max(abs(y), floor)) if logy else y
+        return H - mb - (v - y0) / (y1 - y0) * (H - mt - mb)
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
+             f'height="{H}" viewBox="0 0 {W} {H}">',
+             f'<rect width="{W}" height="{H}" fill="white"/>',
+             f'<line x1="{ml}" y1="{H - mb}" x2="{W - mr}" y2="{H - mb}" '
+             'stroke="black"/>',
+             f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H - mb}" '
+             'stroke="black"/>',
+             f'<text x="{(W - mr + ml) / 2:.1f}" y="{H - 10}" '
+             f'text-anchor="middle" font-size="14">{xlabel}</text>',
+             f'<text x="18" y="{(H - mb + mt) / 2:.1f}" font-size="14" '
+             f'transform="rotate(-90 18 {(H - mb + mt) / 2:.1f})" '
+             f'text-anchor="middle">{ylabel}</text>']
+    for i, s in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
+                       for x, y in zip(s["x"], s["y"])
+                       if math.isfinite(x) and math.isfinite(y))
+        dash = ' stroke-dasharray="6,4"' if "envelope" in s["name"] else ""
+        parts.append(f'<polyline points="{pts}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"{dash}/>')
+        parts.append(f'<text x="{W - mr + 8}" y="{mt + 16 * (i + 1)}" '
+                     f'font-size="12" fill="{color}">{s["name"]}</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+# %.12g switches to exponent notation below 1e-4 and from 1e12, after
+# rounding to 12 digits: 9.999999999995e-05 prints 0.0001 and
+# 999999999999.5 prints 1e+12
+SWITCHES = [1e-5, 9.99999999999e-5, 9.999999999995e-5, 1e-4, 1.00000000001e-4,
+            99999999999.95, 1e11, 999999999999.4, 999999999999.5, 1e12,
+            1.00000000001e12]
+SPECIALS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+            -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+def _tables():
+    rng = np.random.default_rng(11)
+    cells = SWITCHES + [-v for v in SWITCHES] + SPECIALS
+    yield "cells", {"py": cells, "np": np.array(cells),
+                    "n": np.arange(len(cells)) * 10 ** 12 // (len(cells) - 1),
+                    "flag": np.arange(len(cells)) % 3 == 0,
+                    "site": [f"{i} {-i}" for i in range(len(cells))]}
+    yield "empty", {"threshold": np.array([]), "r": [], "label": []}
+    yield "no columns", {}
+    for n in (_CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 300, n)
+        yield f"{n} rows", {
+            "t": np.repeat(rng.uniform(0, 5, n // 7 + 1), 7)[:n],
+            "r": rng.integers(-10 ** 12, 10 ** 12, n), "value": x,
+            "py": x[::-1].tolist(), "passed": rng.integers(0, 2, n) == 1,
+            "check": [f"c{i}" for i in range(n)]}
+
+
+@pytest.mark.parametrize("name, columns", list(_tables()),
+                         ids=[name for name, _ in _tables()])
+def test_write_csv_matches_the_row_by_row_oracle(tmp_path, name, columns):
+    write_csv(str(tmp_path / "a.csv"), columns)
+    _rowwise_csv(str(tmp_path / "b.csv"), columns)
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
+
+
+def test_write_csv_holds_one_block_of_rows(tmp_path):
+    # 2^17 rows of 4 float64 columns are 4 MiB as arrays; the row-at-a-time
+    # writer peaked at 16 MiB holding every cell as a Python float
+    rng = np.random.default_rng(3)
+    columns = {k: rng.standard_normal(2 ** 17) for k in "abcd"}
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "big.csv"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_write_csv_names_the_lengths_of_ragged_columns(tmp_path):
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match="r.csv: columns differ in length: "
+                                         "t 3, r 2, norm 3"):
+        write_csv(str(path), {"t": [0.1, 0.2, 0.3], "r": np.arange(2),
+                              "norm": np.zeros(3)})
+    assert not path.exists()
+
+
+def test_ragged_table_from_a_command_exits_1_with_one_line(tmp_path,
+                                                          monkeypatch):
+    def short(f, g, times, p, form):
+        return [1.0] * (len(times) - 1)
+    monkeypatch.setattr(weyl, "harmonic_bound_rhs", short)
+    cfg = scenario(tmp_path, "c.json", REFS["commutator"])
+    rc, err = run_cli(["commutator", "--config", cfg, "--out",
+                       str(tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert len(err) == 1 and "columns differ in length" in err[0], err
+
+
+def _plots():
+    rng = np.random.default_rng(5)
+    nan, inf = float("nan"), float("inf")
+    decay = np.exp(-rng.uniform(0, 40, 200).cumsum() / 20)
+    yield "log decay", {}, [
+        {"name": "|H^(0)| t=1", "x": list(range(200)), "y": decay},
+        {"name": "envelope m=0 t=1", "x": np.arange(200.0),
+         "y": (3 * decay).tolist()}]
+    yield "non-finite", {}, [
+        {"name": "all nan", "x": [nan, nan], "y": [1.0, 2.0]},
+        {"name": "unreached", "x": [0.5, inf, 1.5, nan], "y": [1, 2, 3, 4]},
+        {"name": "nan y", "x": [0.0, 1.0, 2.0], "y": [nan, 1e-3, -inf]}]
+    yield "nothing finite", {}, [{"name": "a", "x": [nan], "y": [inf]},
+                                 {"name": "b", "x": [], "y": []}]
+    yield "one point", {}, [{"name": "p", "x": [2.5], "y": [0.125]}]
+    yield "x1 == x0", {}, [{"name": "a", "x": [3, 3], "y": [1e-3, 1e2]},
+                           {"name": "b", "x": [3.0], "y": [7.0]}]
+    yield "linear", {"logy": False}, [
+        {"name": "arrival theta=0.001", "x": rng.uniform(0, 9, 30).tolist(),
+         "y": list(range(1, 31))},
+        {"name": "arrival theta=0.1", "x": [nan, 1.0, 2.5],
+         "y": [1, 2, 3]}]
+    yield "at the floor", {"floor": 1e-6}, [
+        {"name": "exact_norm", "x": [0.0, 0.5, 1.0, 1.5, 2.0],
+         "y": [0.0, 1e-9, 1e-6, 5e-7, 2e-3]}]
+    yield "negative y", {}, [
+        {"name": "signed", "x": [0.0, 1.0, 2.0, 3.0],
+         "y": [-2e-3, 4e-5, -0.0, -1e-30]}]
+    yield "negative y, linear", {"logy": False}, [
+        {"name": "signed", "x": [0.0, 1.0, 2.0], "y": [-3.5, 0.25, -0.5]}]
+
+
+@pytest.mark.parametrize("name, kw, series", list(_plots()),
+                         ids=[name for name, _, _ in _plots()])
+def test_write_svg_matches_the_point_by_point_oracle(tmp_path, name, kw,
+                                                     series):
+    write_svg(str(tmp_path / "a.svg"), series, "x", "y", **kw)
+    _pointwise_svg(str(tmp_path / "b.svg"), series, "x", "y", **kw)
+    assert (tmp_path / "a.svg").read_bytes() == \
+        (tmp_path / "b.svg").read_bytes()
+
+
+def test_write_svg_refuses_a_series_of_unequal_lengths(tmp_path):
+    path = tmp_path / "s.svg"
+    with pytest.raises(ValueError, match="s.svg: series 'a' has 3 x and 2 y"):
+        write_svg(str(path), [{"name": "a", "x": [0.0, 1.0, 2.0],
+                               "y": [1.0, 2.0]}], "x", "y")
+    assert not path.exists()
 
 
 def test_svg_has_one_polyline_per_series(tmp_path):
@@ -186,6 +377,18 @@ def test_focksim_scenario_writes_tables(tmp_path):
     assert main(["focksim", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "focksim.csv").exists()
     assert (out / "focksim_fit.csv").exists()
+
+
+def test_one_site_bond_potential_is_not_held_to_the_bond_budget(tmp_path):
+    # one site has no bond, so no trunc^2 x trunc^2 table is built:
+    # trunc 64 (and the gate's 68) is well past the two-site budget; one
+    # site holds no disjoint nonzero f and g, so g is 0
+    cfg = scenario(tmp_path, "f.json", mutated("focksim", (), {
+        "n_sites": 1, "trunc": 64, "perturbation": BOND,
+        "f": [[1.0, 0.0]], "g": [[0.0, 0.0]]}))
+    rc, err = run_cli(["focksim", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_OK, err
+    assert (tmp_path / "focksim.csv").exists()
 
 
 MATRIX_FREE_FOCKSIM = {

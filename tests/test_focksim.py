@@ -216,6 +216,9 @@ def test_hamiltonian_matches_the_kron_embedding_bit_for_bit(
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(h, attr), getattr(ref, attr))
     assert np.all(h.data != 0)
+    if not sys.bonds():
+        assert sys._bond is None  # one site has no bond term to build
+        return
     # the sparse bond holds the dense np.kron formula entry for entry
     q, eye = sys.q1, np.eye(trunc)
     bond = 0.7 * (np.kron(q @ q, eye) + np.kron(eye, q @ q)
@@ -227,6 +230,23 @@ def test_hamiltonian_matches_the_kron_embedding_bit_for_bit(
         par = np.indices((trunc, trunc)).sum(0).ravel() % 2
         bond[par[:, None] != par] = 0.0
     assert np.array_equal(sys._bond.toarray(), bond)
+
+
+@pytest.mark.parametrize("pert", EVEN_POTENTIALS[-2:],
+                         ids=lambda p: p.name + "_" + p.tag)
+def test_one_site_bond_potential_builds_no_bond(pert):
+    # a one-site system has no pair, so a bond potential leaves H alone
+    # and no dense trunc^2 x trunc^2 table is built
+    tracemalloc.start()
+    try:
+        h = FockSystem(1, 64, C11, perturbation=pert).hamiltonian()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref = FockSystem(1, 64, C11).hamiltonian()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(h, attr), getattr(ref, attr))
+    assert peak < 2 ** 20  # the 4096 x 4096 table alone is 128 MiB
 
 
 def test_assembly_memory_follows_the_entries_of_h():
