@@ -18,9 +18,10 @@ Only `main` maps failures to exit codes, each with one stderr line: 1
 (among them a genbound decay weight e^(-a r) F(r) that underflows to 0,
 and a bound, velocity or constant that does not fit in a float),
 ZeroDivisionError and OSError (an unusable --out); 2
-(`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK) and
-numpy.linalg.LinAlgError.  Numerical imports wait until --threads has set
-the BLAS thread count.
+(`numerical failure:`) for ConvergenceError, RuntimeError (ARPACK),
+numpy.linalg.LinAlgError and a RuntimeWarning, which `main` turns into
+an error while a command runs.  Numerical imports wait until --threads
+has set the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -388,7 +390,7 @@ def cmd_evolve(cfg: dict, outdir: str) -> int:
     c = _build_couplings(cfg["couplings"], lat.nu)
     f = _build_weyl(lat, cfg["f"])
     times = cfg["times"]
-    values = _evolved(f, times, c, c.omega == 0.0)
+    values = _evolved(f, times, c)
     labels = [" ".join(map(str, x)) for x in lat.sites.tolist()]
     write_csv(os.path.join(outdir, "evolve.csv"),
               {"t": np.repeat(times, lat.n_sites), "site": labels * len(times),
@@ -407,8 +409,7 @@ def cmd_commutator(cfg: dict, outdir: str) -> int:
     times, a = cfg["times"], cfg["a"]
     p = HarmonicBoundParams(cfg["mu"], c, a)
     r = support_distance(f, g)
-    exact = commutator_norm_exact(f, g, times, couplings=c,
-                                  zero_omega=c.omega == 0.0)
+    exact = commutator_norm_exact(f, g, times, couplings=c)
     thm = harmonic_bound_rhs(f, g, times, p, form="theorem")
     cor = (harmonic_bound_rhs(f, g, times, p, form="corollary")
            if a is not None else [float("nan")] * len(times))
@@ -724,20 +725,23 @@ def main(argv: list[str] | None = None) -> int:
     from numpy.linalg import LinAlgError
 
     try:
-        os.makedirs(args.out, exist_ok=True)
-        if args.command == "verify":
-            if args.config is not None:
-                raise ScenarioError("verify takes no --config")
-            return cmd_verify(args.out, args.seed)
-        if args.seed is not None:
-            raise ScenarioError("--seed is for verify only")
-        if args.config is None:
-            raise ScenarioError("--config is required")
-        # through the module globals, where a tracer can swap the handler
-        return globals()[f"cmd_{args.command}"](
-            load_scenario(args.config, args.command), args.out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            os.makedirs(args.out, exist_ok=True)
+            if args.command == "verify":
+                if args.config is not None:
+                    raise ScenarioError("verify takes no --config")
+                return cmd_verify(args.out, args.seed)
+            if args.seed is not None:
+                raise ScenarioError("--seed is for verify only")
+            if args.config is None:
+                raise ScenarioError("--config is required")
+            # through the module globals, where a tracer can swap the handler
+            return globals()[f"cmd_{args.command}"](
+                load_scenario(args.config, args.command), args.out)
     # LinAlgError subclasses ValueError, so it is matched first
-    except (ConvergenceError, RuntimeError, LinAlgError) as e:
+    except (ConvergenceError, RuntimeError, RuntimeWarning,
+            LinAlgError) as e:
         print(f"numerical failure: {args.command}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ScenarioError, ValueError, ZeroDivisionError, OSError) as e:

@@ -45,10 +45,10 @@ class GroundStateCovariance:
 
 def ground_covariance(lat: TorusLattice, c: Couplings) -> GroundStateCovariance:
     """Exact finite Fourier sums for the Gaussian ground-state covariances."""
-    if c.omega <= 0:
-        raise ZeroDivisionError(
-            "ground-state covariance diverges at the zero mode for omega = 0")
     gam = dispersion(c, lat.dual)
+    if np.any(gam == 0.0):
+        raise ZeroDivisionError(
+            "ground-state covariance diverges: gamma(k) = 0 on the dual grid")
     qq = lat.ifft(0.5 / gam)
     pp = lat.ifft(0.5 * gam)
     # relative to the sums, which scale with gamma

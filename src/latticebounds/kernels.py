@@ -60,14 +60,14 @@ class EnvelopeParams:
 
 
 def _weights(lat: TorusLattice, c: Couplings, m: int, t) -> np.ndarray:
-    """gamma(k)^m * exp(-2i gamma(k) t) over the dual grid; a zero mode
-    (omega = 0) with m = -1 raises ZeroDivisionError."""
+    """gamma(k)^m * exp(-2i gamma(k) t) over the dual grid; a mode with
+    gamma(k) = 0 and m = -1 raises ZeroDivisionError."""
     if m not in (-1, 0, 1):
         raise ValueError("m must be one of -1, 0, 1")
     gam = dispersion(c, lat.dual)
     if m == -1 and np.any(gam == 0.0):
         raise ZeroDivisionError(
-            "singular mode: gamma(k) = 0 at k = 0 (omega = 0 with m = -1)")
+            "singular mode: gamma(k) = 0 on the dual grid with m = -1")
     return gam ** m * np.exp(-2j * gam * np.asarray(t, dtype=float)[..., None])
 
 
@@ -101,18 +101,10 @@ def compute_H_direct(lat: TorusLattice, c: Couplings, m: int, t: float,
     return KernelField(lat, vals) if site_index is None else float(vals[0])
 
 
-def _evolution_multipliers(lat: TorusLattice, c: Couplings, t,
-                           zero_omega: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Mode multipliers (h1^(k), h2^(k)) of the evolution kernels at time t.
-
-    zero_omega must be set exactly when omega = 0, where the k = 0 mode is
-    the free particle; it changes no arithmetic.
-    """
-    if c.omega == 0 and not zero_omega:
-        raise ZeroDivisionError(
-            "singular mode: k = 0 requires zero_omega=True when omega = 0")
-    if c.omega > 0 and zero_omega:
-        raise ValueError("zero_omega=True requires omega = 0")
+def _evolution_multipliers(lat: TorusLattice, c: Couplings,
+                           t) -> tuple[np.ndarray, np.ndarray]:
+    """Mode multipliers (h1^(k), h2^(k)) of the evolution kernels at time t;
+    a mode with gamma(k) = 0 is the free particle (1 - it, it)."""
     gam = dispersion(c, lat.dual)
     t = np.asarray(t, dtype=float)[..., None]
     gs = gam * np.sin(2.0 * gam * t)
@@ -120,16 +112,11 @@ def _evolution_multipliers(lat: TorusLattice, c: Couplings, t,
     return np.cos(2.0 * gam * t) - 0.5j * (gs + s), -0.5j * (gs - s)
 
 
-def compute_h(lat: TorusLattice, c: Couplings, t,
-              zero_omega: bool = False) -> tuple[KernelField, KernelField]:
-    """Evolution kernel pair (h1, h2) at time t.
-
-    zero_omega must be set exactly when omega = 0 (ZeroDivisionError if it
-    is missing there, ValueError if it is set for omega > 0).
-    """
+def compute_h(lat: TorusLattice, c: Couplings,
+              t) -> tuple[KernelField, KernelField]:
+    """Evolution kernel pair (h1, h2) at time t."""
     h = _time_blocks(lat, t, lambda tb: np.stack(
-        [lat.ifft(w) for w in _evolution_multipliers(lat, c, tb, zero_omega)],
-        axis=-2))
+        [lat.ifft(w) for w in _evolution_multipliers(lat, c, tb)], axis=-2))
     return KernelField(lat, h[..., 0, :]), KernelField(lat, h[..., 1, :])
 
 

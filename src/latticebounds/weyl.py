@@ -77,25 +77,33 @@ def _conv(lat: TorusLattice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lat.ifft(lat.fft(a) * lat.fft(b))
 
 
-def _evolved(f: WeylFunction, t, couplings: Couplings,
-             zero_omega: bool) -> np.ndarray:
+def _evolved(f: WeylFunction, t, couplings: Couplings) -> np.ndarray:
     """Values of f_t: two forward FFTs, then one inverse FFT per time block."""
     lat = f.lattice
     fa, fb = lat.fft(f.values), lat.fft(np.conj(f.values))
 
     def block(tb):
-        w1, w2 = _evolution_multipliers(lat, couplings, tb, zero_omega)
+        w1, w2 = _evolution_multipliers(lat, couplings, tb)
         return lat.ifft(fa * np.conj(w1) + fb * w2)
     return _time_blocks(lat, t, block)
 
 
 def evolve(f: WeylFunction, t: float, couplings: Couplings,
-           zero_omega: bool = False) -> WeylFunction:
+           zero_omega: bool | None = None) -> WeylFunction:
     """Exact harmonic evolution f -> f_t under the given couplings.
 
-    zero_omega must be set exactly when omega = 0.
+    The zero mode is derived from the couplings.  zero_omega is a legacy
+    keyword that changes no arithmetic: a value that is given must agree
+    with omega = 0 (ZeroDivisionError if it is False there, ValueError if
+    it is True for omega > 0).  ROADMAP item 1b deletes it together with
+    the perfbench evolve check that passes it.
     """
-    return WeylFunction(f.lattice, _evolved(f, t, couplings, zero_omega))
+    if zero_omega is not None and zero_omega != (couplings.omega == 0):
+        if zero_omega:
+            raise ValueError("zero_omega=True requires omega = 0")
+        raise ZeroDivisionError(
+            "singular mode: k = 0 requires zero_omega=True when omega = 0")
+    return WeylFunction(f.lattice, _evolved(f, t, couplings))
 
 
 def evolve_mode_space(f: WeylFunction, t: float, c: Couplings) -> WeylFunction:
@@ -110,7 +118,7 @@ def evolve_mode_space(f: WeylFunction, t: float, c: Couplings) -> WeylFunction:
     n = lat.n_sites
     gam = dispersion(c, lat.dual)
     if np.any(gam == 0):
-        raise ZeroDivisionError("mode-space oracle requires omega > 0")
+        raise ZeroDivisionError("mode-space oracle requires gamma(k) > 0")
     # forward transforms R(k) = N^(-1/2) sum_x e^{ikx} Re f_x, same for Im
     phase = np.exp(1j * lat.dual @ lat.sites.T)  # phase[k, x]
     rhat = phase @ f.values.real / np.sqrt(n)
@@ -140,12 +148,11 @@ def symplectic_form(f: WeylFunction, g: WeylFunction) -> float:
 
 
 def commutator_norm_exact(f: WeylFunction, g: WeylFunction, t,
-                          couplings: Couplings,
-                          zero_omega: bool = False) -> float | np.ndarray:
+                          couplings: Couplings) -> float | np.ndarray:
     """Exact ||[tau_t(W(f)), W(g)]|| = 2 |sin(Im<g, f_t>/2)|, in [0, 2]."""
     lat = _check_same_lattice(f, g)
     sigma = _time_blocks(lat, t, lambda tb: _im_inner(
-        g.values, _evolved(f, tb, couplings, zero_omega)))
+        g.values, _evolved(f, tb, couplings)))
     out = 2.0 * np.abs(np.sin(sigma / 2.0))
     return float(out) if out.ndim == 0 else out
 

@@ -748,6 +748,30 @@ def test_bound_outside_the_float_range_exits_1_with_one_line(
     assert nonfinite_cells(out) == []
 
 
+def test_runtime_warning_exits_2_with_one_line(tmp_path):
+    # alpha = 1e308 makes the Fock spectrum inf, and its phases nan
+    cfg = mutated("focksim", ("perturbation", "alpha"), 1e308)
+    del cfg["gate"]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")  # as in a fresh process: warn, go on
+        before = list(warnings.filters)
+        rc, err = run_cli(["focksim", "--config", scenario(
+            tmp_path, "huge.json", cfg), "--out", str(tmp_path)])
+        assert warnings.filters == before
+    assert (rc, len(err), seen) == (EXIT_NUMERICAL, 1, []), err
+    assert err[0].startswith("numerical failure: focksim: "), err
+
+
+def test_underflowing_omega_exits_1_in_clustering(tmp_path):
+    # gamma(0) underflows to 0 at omega = 1e-300: refused, no CSV written
+    cfg = scenario(tmp_path, "tiny.json",
+                   mutated("clustering", ("couplings", "omega"), 1e-300))
+    rc, err = run_cli(["clustering", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == EXIT_VALIDATION and len(err) == 1, err
+    assert err[0].startswith("error: clustering: ") and "gamma" in err[0]
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_bound_inside_the_float_range_exits_0_with_finite_cells(tmp_path):
     # sum over Z of e^(-b|z|) ~ 2/b fits, although 1 - e^(-b) rounds to 0
     cfg = scenario(tmp_path, "small.json",
@@ -783,7 +807,7 @@ def test_commutator_and_evolve_run_at_omega_zero(tmp_path):
         lat, [(e["site"], e["re"] + 1j * e["im"]) for e in cfg["f"]])
     c = Couplings(0.0, tuple(cfg["couplings"]["lambda"]))
     expect = [f"{z.real:.12g},{z.imag:.12g}" for t in cfg["times"]
-              for z in weyl.evolve(f, t, c, zero_omega=True).values.tolist()]
+              for z in weyl.evolve(f, t, c).values.tolist()]
     lines = (tmp_path / "e" / "evolve.csv").read_text().splitlines()[1:]
     assert [line.split(",", 2)[2] for line in lines] == expect  # re_f,im_f
 

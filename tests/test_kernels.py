@@ -119,26 +119,16 @@ def test_velocity_formula_and_monotone_pieces():
         velocity(c, 0.0)
 
 
-def test_zero_omega_needs_flag():
-    lat = TorusLattice(1, 4)
-    c = Couplings(0.0, (1.0,))
-    with pytest.raises(ZeroDivisionError):
-        compute_h(lat, c, 0.5)
-    with pytest.raises(ZeroDivisionError):
-        compute_H(lat, c, -1, 0.5)
-
-
-def test_zero_omega_flag_is_refused_for_positive_omega():
-    with pytest.raises(ValueError, match="omega = 0"):
-        compute_h(TorusLattice(1, 4), Couplings(0.7, (1.0,)), 0.5,
-                  zero_omega=True)
+def test_inverse_kernel_is_singular_at_omega_zero():
+    with pytest.raises(ZeroDivisionError, match="gamma"):
+        compute_H(TorusLattice(1, 4), Couplings(0.0, (1.0,)), -1, 0.5)
 
 
 def test_zero_omega_kernels_at_time_zero():
     # at t = 0 the evolution kernels reduce to a delta and zero
     lat = TorusLattice(1, 8)
     c = Couplings(0.0, (1.0,))
-    h1, h2 = compute_h(lat, c, 0.0, zero_omega=True)
+    h1, h2 = compute_h(lat, c, 0.0)
     expect = np.zeros(lat.n_sites, dtype=complex)
     expect[lat.index((0,))] = 1.0
     assert np.allclose(h1.values, expect, atol=1e-13)
@@ -150,7 +140,7 @@ def test_zero_omega_kernel_mean_values():
     lat = TorusLattice(1, 8)
     c = Couplings(0.0, (1.0,))
     t = 0.8
-    h1, h2 = compute_h(lat, c, t, zero_omega=True)
+    h1, h2 = compute_h(lat, c, t)
     assert np.sum(h1.values) == pytest.approx(1.0 - 1j * t, abs=1e-12)
     assert np.sum(h2.values) == pytest.approx(1j * t, abs=1e-12)
 

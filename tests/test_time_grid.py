@@ -48,7 +48,7 @@ CASES = {
     "compute_h": (lambda t: np.stack([k.values for k in compute_h(
         LATS[2], CPL[2], t)], axis=-2), False),
     "compute_h zero_omega": (lambda t: np.stack([k.values for k in compute_h(
-        LATS[1], Couplings(0.0, (0.6,)), t, zero_omega=True)], axis=-2),
+        LATS[1], Couplings(0.0, (0.6,)), t)], axis=-2),
         False),
     **{f"envelope m={m}": (lambda t, m=m: envelope(ENV, m, t, R), False)
        for m in (-1, 0, 1)},

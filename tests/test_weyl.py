@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticebounds.kernels import velocity
+from latticebounds.kernels import compute_h, velocity
 from latticebounds.torus import Couplings, TorusLattice, dispersion
 from latticebounds.weyl import (HarmonicBoundParams, WeylFunction,
                                 commutator_norm_exact, evolve,
@@ -128,56 +128,71 @@ def test_zero_omega_evolution_group_law():
     c = Couplings(0.0, (1.0,))
     rng = np.random.default_rng(7)
     f = random_field(LAT, rng)
-    one = evolve(evolve(f, 0.4, couplings=c, zero_omega=True), 0.9,
-                 couplings=c, zero_omega=True)
-    both = evolve(f, 1.3, couplings=c, zero_omega=True)
+    one = evolve(evolve(f, 0.4, couplings=c), 0.9, couplings=c)
+    both = evolve(f, 1.3, couplings=c)
     assert np.max(np.abs(one.values - both.values)) < 1e-9
 
 
-def parent_route_evolve(lat, c, f, t):
-    """The real-space route, written out: the three Fourier sums of the
-    evolution kernels with the k = 0 mode masked and replaced by
-    (1 - it)/N, it/N when omega = 0, then two periodic convolutions."""
+def parent_route_kernels(lat, c, t):
+    """The evolution kernels (h1, h2), written out: the three Fourier sums
+    with every mode of gamma(k) = 0 masked and replaced by the free
+    particle, e^(ikx) (1 - it)/N and e^(ikx) it/N."""
     n = lat.n_sites
     gam = np.atleast_1d(dispersion(c, lat.dual))
     phase = np.exp(-2j * gam * t)
-    mask = np.all(lat.sites == 0, axis=1) & (c.omega == 0)
+    mask = gam == 0
     phase = np.where(mask, 0.0, phase)
     inv_gam = np.divide(1.0, gam, out=np.zeros_like(gam), where=~mask)
     waves = np.exp(1j * lat.sites @ lat.dual.T) / n  # waves[x, k]
-    s0, s1, sm1 = (waves @ w for w in (phase, gam * phase, inv_gam * phase))
-    h1 = s0.real + 0.5j * (s1.imag + sm1.imag)
-    h2 = 0.5j * (s1.imag - sm1.imag)
-    if c.omega == 0:
-        h1 = h1 + (1.0 - 1j * t) / n
-        h2 = h2 + 1j * t / n
+    s0, s1, sm1, free = (waves @ w for w in
+                         (phase, gam * phase, inv_gam * phase, mask))
+    return (s0.real + 0.5j * (s1.imag + sm1.imag) + (1.0 - 1j * t) * free,
+            0.5j * (s1.imag - sm1.imag) + 1j * t * free)
+
+
+def parent_route_evolve(lat, c, f, t):
+    """The real-space route: the kernels of parent_route_kernels, then two
+    periodic convolutions."""
+    h1, h2 = parent_route_kernels(lat, c, t)
     # diff[x, y] = index of x - y
     diff = np.array([[lat.index(lat.wrap(x - y)) for y in lat.sites]
                      for x in lat.sites])
     return f @ np.conj(h1)[diff].T + np.conj(f) @ h2[diff].T
 
 
-@pytest.mark.parametrize("omega", [0.0, 0.7])
+# at omega = 1e-300, gamma(0) underflows to 0 as at omega = 0; no keyword
+# selects the free particle there
+@pytest.mark.parametrize("omega", [0.0, 0.7, 1e-300])
 @pytest.mark.parametrize("nu,L", [(1, 8), (2, 3), (3, 2)])
 def test_evolve_matches_the_real_space_kernel_route(nu, L, omega):
     lat = TorusLattice(nu, L)
     c = Couplings(omega, (1.0, 0.6, 1.3)[:nu])
-    f = random_field(lat, np.random.default_rng(nu))
+    rng = np.random.default_rng(nu)
+    f = random_field(lat, rng)
+    g = random_field(lat, rng)
     for t in (0.0, 0.45, 1.7):
-        got = evolve(f, t, c, zero_omega=omega == 0).values
-        assert np.max(np.abs(got - parent_route_evolve(lat, c, f.values, t))) \
-            < 1e-12
+        h1, h2 = compute_h(lat, c, t)
+        f_t = evolve(f, t, c).values
+        want_f_t = parent_route_evolve(lat, c, f.values, t)
+        for got, want in zip((h1.values, h2.values, f_t),
+                             (*parent_route_kernels(lat, c, t), want_f_t)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) < 1e-12
+        sigma = np.imag(np.vdot(g.values, want_f_t))
+        assert commutator_norm_exact(f, g, t, c) == pytest.approx(
+            2.0 * abs(np.sin(sigma / 2.0)), abs=1e-12)
 
 
-def test_zero_omega_flag_is_checked_both_ways():
-    f = WeylFunction.delta(LAT, (0,))
+def test_legacy_zero_omega_keyword_agrees_with_omega():
+    f = random_field(LAT, np.random.default_rng(5))
+    gapped, free = Couplings(0.7, (1.0,)), Couplings(0.0, (1.0,))
+    for c, flag in ((gapped, False), (free, True)):
+        assert np.array_equal(evolve(f, 1.3, c, zero_omega=flag).values,
+                              evolve(f, 1.3, c).values)
     with pytest.raises(ValueError, match="omega = 0"):
-        evolve(f, 1.0, Couplings(0.7, (1.0,)), zero_omega=True)
-    with pytest.raises(ValueError, match="omega = 0"):
-        commutator_norm_exact(f, f, 1.0, Couplings(0.7, (1.0,)),
-                              zero_omega=True)
+        evolve(f, 1.0, gapped, zero_omega=True)
     with pytest.raises(ZeroDivisionError):
-        evolve(f, 1.0, Couplings(0.0, (1.0,)))
+        evolve(f, 1.0, free, zero_omega=False)
 
 
 def test_commutator_norm_range_and_t0():
